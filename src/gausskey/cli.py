@@ -19,7 +19,9 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +207,7 @@ def _outcome_record(run_index: int, seed: int, outcome: ProtocolOutcome) -> dict
     return rec
 
 
-def _run_one(scenario_path: str, run_index: int) -> tuple[dict, str | None, str | None]:
-    scenario = load_scenario(scenario_path)
+def _run_one(scenario: Scenario, run_index: int) -> tuple[dict, str | None, str | None]:
     seed = scenario.seed + run_index
     outcome = run_protocol(
         scenario.params,
@@ -234,6 +235,8 @@ def _summary_row(rec: dict) -> list:
 
 
 def cmd_simulate(args: argparse.Namespace, emit_keys: bool) -> int:
+    if args.runs < 1 or args.workers < 1:
+        raise ScenarioError("runs and workers must be positive")
     scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,19 +247,12 @@ def cmd_simulate(args: argparse.Namespace, emit_keys: bool) -> int:
 
     records: list[dict] = []
     keys: list[tuple[int, str | None, str | None]] = []
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [
-                pool.submit(_run_one, args.scenario, i) for i in range(args.runs)
-            ]
-            for i, fut in enumerate(futures):
-                rec, alice_hex, bob_hex = fut.result()
-                records.append(rec)
-                keys.append((i, alice_hex, bob_hex))
-                print(f"run {i}: {rec['status']}", file=sys.stderr)
-    else:
-        for i in range(args.runs):
-            rec, alice_hex, bob_hex = _run_one(args.scenario, i)
+    parallel = args.workers > 1
+    with ProcessPoolExecutor(max_workers=args.workers) if parallel else nullcontext() as pool:
+        run_map = pool.map if parallel else map
+        for i, (rec, alice_hex, bob_hex) in enumerate(
+            run_map(partial(_run_one, scenario), range(args.runs))
+        ):
             records.append(rec)
             keys.append((i, alice_hex, bob_hex))
             print(f"run {i}: {rec['status']}", file=sys.stderr)
@@ -413,14 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "simulate":
-            if args.runs < 1 or args.workers < 1:
-                raise ScenarioError("runs and workers must be positive")
-            return cmd_simulate(args, emit_keys=args.emit_keys)
-        if args.command == "keygen":
-            if args.runs < 1 or args.workers < 1:
-                raise ScenarioError("runs and workers must be positive")
-            return cmd_simulate(args, emit_keys=True)
+        if args.command in ("simulate", "keygen"):
+            return cmd_simulate(args, emit_keys=args.command == "keygen" or args.emit_keys)
         if args.command == "rate-curve":
             return cmd_rate_curve(args)
         if args.command == "bound-curve":

@@ -3,8 +3,9 @@
 Covers the two estimation rounds of the key-generation protocol: moment
 estimates with Gaussian-approximation confidence intervals, residual
 extraction, empirical CDFs, the Kolmogorov distribution and its quantile,
-Gaussian smoothing of step CDFs, and the composed estimation error bound
-used to pad the security exponent.
+Gaussian smoothing of step CDFs, the composed estimation error bound
+used to pad the security exponent, and the sign-bit marginal that both the
+decoder prior and the code-rate ceiling read off the residual CDF.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .gaussmodel import listener_geometry
 
 __all__ = [
     "EstimateBundle",
@@ -31,12 +34,21 @@ __all__ = [
     "estimate_eve_cdf",
     "ks_distance",
     "ks_error_bound",
+    "cdf_error_bound",
     "gaussian_sup_distance",
+    "NORMAL_NODES",
+    "NORMAL_WEIGHTS",
+    "bit_zero_probabilities",
 ]
 
 # Gaussian-approximation intervals are documented as trustworthy from this
 # sample count upward; below it we warn but still compute.
 MIN_RECOMMENDED_SAMPLES = 10_000
+
+# 96-node Gauss-Hermite rule for expectations over a standard normal
+NORMAL_NODES, NORMAL_WEIGHTS = np.polynomial.hermite.hermgauss(96)
+NORMAL_NODES = NORMAL_NODES * math.sqrt(2.0)
+NORMAL_WEIGHTS = NORMAL_WEIGHTS / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -261,10 +273,7 @@ def estimate_eve_cdf(bundle: EstimateBundle, params) -> EveCdf:
     """
     if not bundle.complete:
         raise ValueError("bundle has no residuals; run the second estimation round")
-    g2 = params.eve_gain**2
-    s2 = params.eve_noise**2
-    projected = bundle.c_hat**2 * g2 / (g2 + s2)
-    excess = projected - params.bob_noise**2
+    excess, _ = listener_geometry(params, bundle.c_hat**2)
     base = EmpiricalCdf(points=bundle.residuals)
     if excess > 0:
         return EveCdf(base=base, smoothing_stdev=math.sqrt(excess), smoothed=True)
@@ -301,15 +310,35 @@ def ks_error_bound(bundle: EstimateBundle, epsilon: float) -> float:
     """
     if bundle.c_hat == 0:
         raise ValueError("no correlation signal: covariance estimate is zero")
-    l_mom = bundle.l
     l_res = len(bundle.residuals) if bundle.complete else bundle.l
+    return cdf_error_bound(bundle.v_ab_hat, bundle.c_hat, bundle.l, l_res, epsilon)
+
+
+def cdf_error_bound(v_ab: float, c: float, l_mom: int, l_res: int, epsilon: float) -> float:
+    """The two terms of ks_error_bound, from raw values.
+
+    v_ab is the product second moment, c the covariance, and l_mom and
+    l_res the moment and residual sample counts; callers holding
+    closed-form expectations in place of a bundle pass them here.
+    """
     first = (
-        math.sqrt(bundle.v_ab_hat)
+        math.sqrt(v_ab)
         * two_sided_z(epsilon)
-        / (math.sqrt(2.0 * math.pi * math.e) * abs(bundle.c_hat) * math.sqrt(l_mom))
+        / (math.sqrt(2.0 * math.pi * math.e) * abs(c) * math.sqrt(l_mom))
     )
     second = kolmogorov_quantile(1.0 - epsilon) / math.sqrt(l_res)
     return first + second
+
+
+def bit_zero_probabilities(c_hat: float, residual_cdf) -> tuple[np.ndarray, float]:
+    """Pr[Bob's bit is 0 | Alice's symbol] at NORMAL_NODES, and its mean.
+
+    Bob's bit is 0 iff his observation is at least its estimated mean,
+    that is iff the residual is at least -c_hat * a. The probability is
+    therefore 1 - F(-c_hat * a - 0), with the left limit at an atom of F.
+    """
+    p_zero = 1.0 - np.asarray(residual_cdf.eval_left(-c_hat * NORMAL_NODES), dtype=float)
+    return p_zero, float(np.dot(NORMAL_WEIGHTS, p_zero))
 
 
 def gaussian_sup_distance(a: float) -> float:

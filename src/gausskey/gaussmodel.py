@@ -24,6 +24,7 @@ __all__ = [
     "sample_round",
     "sample_rounds",
     "condense_eve_view",
+    "listener_geometry",
     "squared_correlations",
     "advantage_condition",
     "combine_antennas",
@@ -173,13 +174,28 @@ def condense_eve_view(params: ChannelParams, eve: float, injected: float) -> Eve
     Gaussian with the returned mean and variance regardless of the rest of
     Eve's view.
     """
-    ae2 = params.eve_gain**2
-    be2 = params.eve_noise**2
-    value = (params.bob_gain * params.eve_gain / (ae2 + be2)) * eve + injected
-    cond_var = params.bob_gain**2 * be2 / (ae2 + be2) + params.bob_noise**2
+    value = (
+        params.bob_gain * params.eve_gain / (params.eve_gain**2 + params.eve_noise**2)
+    ) * eve + injected
+    _, cond_var = listener_geometry(params, params.bob_gain**2)
     return EveReduced(
         value=value, cond_variance=cond_var, cond_mean=value + params.bob_offset
     )
+
+
+def listener_geometry(params: ChannelParams, c_sq: float) -> tuple[float, float]:
+    """Split Bob's signal power c_sq between Eve's condensed view and the rest.
+
+    Returns (excess, cond_variance): the part of c_sq projected onto Eve's
+    view, c_sq g^2 / (g^2 + s^2), less Bob's detector variance; and Bob's
+    variance given that view, c_sq s^2 / (g^2 + s^2) plus his detector
+    variance. A positive excess is the smoothing variance of Eve's CDF.
+    """
+    g2 = params.eve_gain**2
+    s2 = params.eve_noise**2
+    excess = c_sq * g2 / (g2 + s2) - params.bob_noise**2
+    cond_variance = c_sq * s2 / (g2 + s2) + params.bob_noise**2
+    return excess, cond_variance
 
 
 def squared_correlations(
@@ -194,13 +210,12 @@ def squared_correlations(
     if injected_variance < 0:
         raise ValueError("injected_variance must be nonnegative")
     ab2 = params.bob_gain**2
-    ae2 = params.eve_gain**2
-    be2 = params.eve_noise**2
     v_b = ab2 + injected_variance + params.bob_noise**2
     if v_b <= 0:
         raise ValueError("degenerate channel: Bob's variance is zero")
     rho_a = ab2 / v_b
-    rho_cond = (ab2 * ae2 / (ae2 + be2) + injected_variance) / v_b
+    _, cond_var = listener_geometry(params, ab2)
+    rho_cond = (v_b - cond_var) / v_b
     rho_inf = (injected_variance + params.bob_noise**2) / v_b
     return rho_a, rho_cond, rho_inf
 

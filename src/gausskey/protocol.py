@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .estimation import (
     EmpiricalCdf,
     EstimateBundle,
-    EveCdf,
     estimate_eve_cdf,
     estimate_moments,
     residuals,
 )
 from .gaussmodel import ChannelParams, NoiseSpec, sample_rounds
 from .hashing import BitString, ToeplitzSeed, auth_failure_prob, toeplitz_hash, verification_tag
-from .reconciliation import LinearCode, SoftChannel, bp_decode, load_alist, reconcile
+from .reconciliation import LinearCode, SoftChannel, alice_decode, load_alist, reconcile
 from .secbounds import (
     MODIFIED_MUTUAL_INFO,
     VARIATIONAL_DISTANCE,
@@ -387,25 +385,16 @@ def replay_alice(
     distill = perm[2 * l :]
     mine = symbols[distill]
 
-    bundle = EstimateBundle(
-        e_hat=transcript.e_hat,
-        v_hat=transcript.v_hat,
-        c_hat=transcript.c_hat,
-        v_ab_hat=transcript.v_ab_hat,
-        w_hat=float("nan"),
-        l=l,
-        epsilon=0.25,  # decoder replay never touches the intervals
-        residuals=transcript.residuals,
-    )
-    chan = SoftChannel.from_bundle(bundle)
-
-    blocks: list[BitString] = []
-    for k in range(num_blocks):
-        sl = slice(k * code.n_code, (k + 1) * code.n_code)
-        shift = BitString.from_hex(transcript.coset_hex[k], code.n_code)
-        llrs = chan.llr_array(mine[sl], shift.to_bits())
-        word, _ = bp_decode(code, llrs)
-        blocks.append(word)
+    chan = SoftChannel.from_residuals(transcript.c_hat, transcript.residuals)
+    blocks = [
+        alice_decode(
+            code,
+            mine[k * code.n_code : (k + 1) * code.n_code],
+            BitString.from_hex(transcript.coset_hex[k], code.n_code),
+            chan,
+        )
+        for k in range(num_blocks)
+    ]
 
     n2 = num_blocks * code.dim - transcript.m1
     pa = ToeplitzSeed.random(np.random.default_rng(transcript.pa_seed), n, n2)

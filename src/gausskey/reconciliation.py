@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
-from .estimation import EmpiricalCdf, EstimateBundle
+from .estimation import EmpiricalCdf, EstimateBundle, bit_zero_probabilities
 from .hashing import BitString
 
 __all__ = [
@@ -24,10 +23,8 @@ __all__ = [
     "SoftChannel",
     "load_alist",
     "gallager_code",
-    "syndrome",
-    "coset_representative",
-    "channel_llr",
     "bp_decode",
+    "alice_decode",
     "reconcile",
 ]
 
@@ -207,14 +204,6 @@ def gallager_code(
     return LinearCode(n_code=n_code, check_cols=check_cols)
 
 
-def syndrome(code: LinearCode, x: BitString) -> BitString:
-    return code.syndrome_of(x)
-
-
-def coset_representative(code: LinearCode, syn: BitString) -> BitString:
-    return code.representative(syn)
-
-
 @dataclass(frozen=True)
 class SoftChannel:
     """Likelihoods of Alice's symbol given Bob's published bit.
@@ -228,18 +217,19 @@ class SoftChannel:
     prior_log_ratio: float  # ln Pr[bit 1] - ln Pr[bit 0]
 
     @staticmethod
-    def from_bundle(bundle: EstimateBundle) -> "SoftChannel":
-        if not bundle.complete:
-            raise ValueError("bundle has no residuals")
-        cdf = EmpiricalCdf(points=bundle.residuals)
-        nodes, weights = _std_nodes()
-        p_zero = 1.0 - np.asarray(cdf(-bundle.c_hat * nodes), dtype=float)
-        z0 = float(np.dot(weights, p_zero))
+    def from_residuals(c_hat: float, residuals: tuple[float, ...]) -> "SoftChannel":
+        """Channel from the covariance estimate and the sorted residuals."""
+        if len(residuals) == 0:
+            raise ValueError("no residuals to build the channel from")
+        cdf = EmpiricalCdf(points=residuals)
+        _, z0 = bit_zero_probabilities(c_hat, cdf)
         z0 = min(max(z0, 1e-300), 1.0 - 1e-16)
         prior = math.log(1.0 - z0) - math.log(z0)
-        return SoftChannel(
-            c_hat=bundle.c_hat, residual_cdf=cdf, prior_log_ratio=prior
-        )
+        return SoftChannel(c_hat=c_hat, residual_cdf=cdf, prior_log_ratio=prior)
+
+    @staticmethod
+    def from_bundle(bundle: EstimateBundle) -> "SoftChannel":
+        return SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
 
     def llr_array(self, symbols: np.ndarray, flips: np.ndarray) -> np.ndarray:
         signed = np.where(np.asarray(flips) != 0, -1.0, 1.0) * np.asarray(symbols, float)
@@ -248,22 +238,6 @@ class SoftChannel:
         with np.errstate(divide="ignore"):
             llr = np.log(g0) - np.log(g1) + self.prior_log_ratio
         return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
-
-
-_STD_CACHE: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _std_nodes() -> tuple[np.ndarray, np.ndarray]:
-    global _STD_CACHE
-    if _STD_CACHE is None:
-        x, w = np.polynomial.hermite.hermgauss(96)
-        _STD_CACHE = (x * math.sqrt(2.0), w / math.sqrt(math.pi))
-    return _STD_CACHE
-
-
-def channel_llr(chan: SoftChannel, symbol: float, flip: int) -> float:
-    """Log-likelihood ratio for one symbol under the published coset bit."""
-    return float(chan.llr_array(np.array([symbol]), np.array([flip]))[0])
 
 
 def bp_decode(
@@ -303,6 +277,20 @@ def bp_decode(
     return BitString.from_bits(hard), False
 
 
+def alice_decode(
+    code: LinearCode, alice_symbols: np.ndarray, shift: BitString, chan: SoftChannel
+) -> BitString:
+    """Alice's half of a reconciliation block.
+
+    She decodes Bob's codeword from her symbols, with signs flipped where
+    the published coset representative has ones. The run and the replay
+    both decode through here.
+    """
+    llrs = chan.llr_array(alice_symbols, shift.to_bits())
+    alice_codeword, _converged = bp_decode(code, llrs)
+    return alice_codeword
+
+
 def reconcile(
     code: LinearCode, bob_bits: BitString, alice_symbols, chan: SoftChannel
 ) -> tuple[BitString, BitString, BitString]:
@@ -310,14 +298,10 @@ def reconcile(
 
     Bob moves his word into the code by subtracting the deterministic coset
     representative of its syndrome; the representative is the only public
-    message. Alice decodes the same codeword from her symbols, with signs
-    flipped where the representative has ones.
+    message. Alice then runs alice_decode on it.
     """
     symbols = np.asarray(alice_symbols, dtype=float)
     if bob_bits.length != code.n_code or symbols.size != code.n_code:
         raise ValueError("block length mismatch")
     shift = code.representative(code.syndrome_of(bob_bits))
-    bob_codeword = bob_bits ^ shift
-    llrs = chan.llr_array(symbols, shift.to_bits())
-    alice_codeword, _converged = bp_decode(code, llrs)
-    return bob_codeword, alice_codeword, shift
+    return bob_bits ^ shift, alice_decode(code, symbols, shift, chan), shift

@@ -20,13 +20,17 @@ import numpy as np
 from scipy.special import ndtr, xlogy
 
 from .estimation import (
+    NORMAL_NODES,
+    NORMAL_WEIGHTS,
     EmpiricalCdf,
     EstimateBundle,
     EveCdf,
-    kolmogorov_quantile,
+    bit_zero_probabilities,
+    cdf_error_bound,
     ks_error_bound,
     two_sided_z,
 )
+from .gaussmodel import listener_geometry
 
 __all__ = [
     "AnalyticGaussian",
@@ -37,7 +41,6 @@ __all__ = [
     "MODIFIED_MUTUAL_INFO",
     "sign_entropy",
     "sign_exponent",
-    "certified_exponent",
     "build_certified_exponent",
     "reference_exponent_evaluator",
     "minimize_convex",
@@ -46,12 +49,6 @@ __all__ = [
     "key_rate_symmetric",
     "mutual_info_ab",
 ]
-
-_NODE_COUNT = 96  # Gauss-Hermite nodes per Gaussian component
-
-_GH_X, _GH_W = np.polynomial.hermite.hermgauss(_NODE_COUNT)
-_GH_X = _GH_X * math.sqrt(2.0)  # standard-normal abscissas
-_GH_W = _GH_W / math.sqrt(math.pi)
 
 VARIATIONAL_DISTANCE = "variational-distance"
 MODIFIED_MUTUAL_INFO = "modified-mutual-info"
@@ -104,14 +101,14 @@ class SecurityCertificate:
 def _probe(dist) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights integrating exactly against dist."""
     if isinstance(dist, AnalyticGaussian):
-        return _GH_X * math.sqrt(dist.variance), _GH_W.copy()
+        return NORMAL_NODES * math.sqrt(dist.variance), NORMAL_WEIGHTS.copy()
     if isinstance(dist, PointMasses):
         pts = np.asarray(dist.points, dtype=float)
         return pts, np.full(pts.size, 1.0 / pts.size)
     if isinstance(dist, GaussianMixture):
         pts = np.asarray(dist.points, dtype=float)
-        xs = (pts[:, None] + dist.stdev * _GH_X[None, :]).ravel()
-        ws = np.tile(_GH_W / pts.size, pts.size)
+        xs = (pts[:, None] + dist.stdev * NORMAL_NODES[None, :]).ravel()
+        ws = np.tile(NORMAL_WEIGHTS / pts.size, pts.size)
         return xs, ws
     raise TypeError(f"unsupported distribution: {type(dist).__name__}")
 
@@ -146,15 +143,9 @@ def sign_entropy(dist, v: float) -> float:
 
 def sign_exponent(dist, v: float, t: float) -> float:
     """Exponent functional of the sign channel; nonpositive, zero at t = 0."""
-    if not (v > 0):
-        raise ValueError("conditional variance must be positive")
     if not (0.0 <= t < 1.0):
         raise ValueError("t must lie in [0, 1)")
-    if t == 0.0:
-        return 0.0
-    xs, ws = _probe(dist)
-    p = ndtr(xs / math.sqrt(v))
-    return math.log2(_lq_mean(p, ws, 1.0 / (1.0 - t)))
+    return ExponentWithPadding(dist, v, 0.0).raw(t)
 
 
 class ExponentWithPadding:
@@ -215,20 +206,12 @@ def build_certified_exponent(
         raise ValueError("insufficient correlation for certification")
     pad = ks_error_bound(bundle, epsilon)
     if eve.smoothed:
-        g2 = params.eve_gain**2
-        s2 = params.eve_noise**2
-        v = uc * uc * s2 / (g2 + s2) + params.bob_noise**2
+        _, v = listener_geometry(params, uc * uc)
         dist = GaussianMixture(points=bundle.residuals, stdev=eve.smoothing_stdev)
     else:
         v = uc * uc
         dist = PointMasses(points=bundle.residuals)
     return ExponentWithPadding(dist, v, pad)
-
-
-def certified_exponent(
-    bundle: EstimateBundle, eve: EveCdf, params, epsilon: float, t: float
-) -> float:
-    return build_certified_exponent(bundle, eve, params, epsilon)(t)
 
 
 def reference_exponent_evaluator(
@@ -248,15 +231,11 @@ def reference_exponent_evaluator(
     uc = c - math.sqrt(v_ab) * two_sided_z(epsilon) / math.sqrt(l)
     if uc <= 0:
         raise ValueError("insufficient correlation for certification")
-    pad = math.sqrt(v_ab) * two_sided_z(epsilon) / (
-        math.sqrt(2.0 * math.pi * math.e) * c * math.sqrt(l)
-    ) + kolmogorov_quantile(1.0 - epsilon) / math.sqrt(l)
-    g2 = params.eve_gain**2
-    s2 = params.eve_noise**2
+    pad = cdf_error_bound(v_ab, c, l, l, epsilon)
     residual_var = injected_variance + params.bob_noise**2
-    excess = c * c * g2 / (g2 + s2) - params.bob_noise**2
+    excess, _ = listener_geometry(params, c * c)
     if excess > 0:
-        v = uc * uc * s2 / (g2 + s2) + params.bob_noise**2
+        _, v = listener_geometry(params, uc * uc)
         dist = AnalyticGaussian(residual_var + excess)
     else:
         v = uc * uc
@@ -376,36 +355,28 @@ def _bound_at(phi_fn, n: int, m1: int) -> float:
 def sacrifice_length(phi_fn, n: int, target_log2: float) -> int:
     """Minimal sacrifice count whose distance bound meets the target.
 
-    The bound is monotone nonincreasing in m1, so a binary search settles
-    the answer; a quasiconcave transform of the constraint supplies a tight
-    initial bracket so only a few full minimizations run.
+    bound(m1) <= T holds iff t (n - m1) + n phi(t) <= T - log2 3 for some t,
+    so the minimal m1 is ceil(n - max_t (T - log2 3 - n phi(t)) / t), one
+    quasiconcave maximization. A two-point guard then checks
+    bound(m1) <= T < bound(m1 - 1) on the full minimization and steps m1 by
+    one while either check fails.
     """
-    if _bound_at(phi_fn, n, 0) <= target_log2:
-        return 0
-    if _bound_at(phi_fn, n, n) > target_log2:
-        raise ValueError("target unachievable even when sacrificing every bit")
-
-    # m1 >= n - (target' - n phi(t))/t for some t; maximize the right margin.
     target_prime = target_log2 - math.log2(3.0)
 
     def margin(t: float) -> float:
         return (target_prime - n * phi_fn(t)) / t
 
-    t_star, neg = _golden_section(lambda t: -margin(t), 1e-9, 0.5, 1e-9)
-    guess = max(0, min(n, math.ceil(n + neg)))  # neg = -max margin
-
-    lo, hi = 0, n
-    if _bound_at(phi_fn, n, min(n, guess + 4)) <= target_log2:
-        hi = min(n, guess + 4)
-    if guess >= 4 and _bound_at(phi_fn, n, guess - 4) > target_log2:
-        lo = guess - 4
-    while hi - lo > 0:
-        mid = (lo + hi) // 2
-        if _bound_at(phi_fn, n, mid) <= target_log2:
-            hi = mid
+    _, neg = _golden_section(lambda t: -margin(t), 1e-9, 0.5, 1e-9)
+    m1 = max(0, min(n, math.ceil(n + neg)))  # neg = -max margin
+    while True:
+        if _bound_at(phi_fn, n, m1) > target_log2:
+            m1 += 1
+            if m1 > n:
+                raise ValueError("target unachievable even when sacrificing every bit")
+        elif m1 > 0 and _bound_at(phi_fn, n, m1 - 1) <= target_log2:
+            m1 -= 1
         else:
-            lo = mid + 1
-    return hi
+            return m1
 
 
 def key_rate_symmetric(x: float) -> tuple[float, float, float]:
@@ -435,10 +406,7 @@ def mutual_info_ab(bundle: EstimateBundle, residual_cdf: EmpiricalCdf) -> float:
         raise ValueError("no correlation signal: covariance estimate is zero")
     if bundle.v_hat <= bundle.c_hat**2:
         raise ValueError("degenerate estimates: observed variance within explained part")
-    # Pr[bit 0 | symbol a] = Pr[residual >= -c*a], left limit at atoms
-    thresholds = -bundle.c_hat * _GH_X
-    p_zero = 1.0 - np.asarray(residual_cdf.eval_left(thresholds), dtype=float)
-    marginal = float(np.dot(_GH_W, p_zero))
-    cond = float(np.dot(_GH_W, _binary_entropy(p_zero)))
+    p_zero, marginal = bit_zero_probabilities(bundle.c_hat, residual_cdf)
+    cond = float(np.dot(NORMAL_WEIGHTS, _binary_entropy(p_zero)))
     info = float(_binary_entropy(np.array(marginal))) - cond
     return min(1.0, max(0.0, info))

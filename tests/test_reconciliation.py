@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gausskey.estimation import EmpiricalCdf, EstimateBundle
+from gausskey.estimation import NORMAL_NODES, NORMAL_WEIGHTS, EmpiricalCdf, EstimateBundle
 from gausskey.hashing import BitString
 from gausskey.reconciliation import (
     LinearCode,
     SoftChannel,
     bp_decode,
-    channel_llr,
-    coset_representative,
     gallager_code,
     load_alist,
     reconcile,
-    syndrome,
 )
 
 
@@ -136,14 +133,6 @@ def test_gallager_construction():
         gallager_code(30, 3, 4, rng)
 
 
-def test_module_level_wrappers(small_code):
-    rng = np.random.default_rng(23)
-    word = BitString.random(rng, small_code.n_code)
-    syn = syndrome(small_code, word)
-    assert syn == small_code.syndrome_of(word)
-    assert coset_representative(small_code, syn) == small_code.representative(syn)
-
-
 # --------------------------------------------------------------- soft channel
 
 def test_channel_llr_hand_values():
@@ -151,10 +140,12 @@ def test_channel_llr_hand_values():
     # likelihood is the single point below -0.6
     cdf = EmpiricalCdf(points=(-1.0, 0.0, 0.5))
     chan = SoftChannel(c_hat=2.0, residual_cdf=cdf, prior_log_ratio=0.0)
-    assert channel_llr(chan, 0.3, 0) == pytest.approx(math.log(2.0))
-    assert channel_llr(chan, 0.3, 1) == -40.0  # all mass below 0.6
+    llr = chan.llr_array(np.array([0.3, 0.3]), np.array([0, 1]))
+    assert llr[0] == pytest.approx(math.log(2.0))
+    assert llr[1] == -40.0  # all mass below 0.6
     shifted = SoftChannel(c_hat=2.0, residual_cdf=cdf, prior_log_ratio=0.7)
-    assert channel_llr(shifted, 0.3, 0) == pytest.approx(math.log(2.0) + 0.7)
+    assert shifted.llr_array(np.array([0.3]), np.array([0]))[0] == pytest.approx(
+        math.log(2.0) + 0.7)
 
 
 def test_llr_array_clipping_and_sign_symmetry():
@@ -180,6 +171,21 @@ def test_from_bundle_prior_vanishes_for_symmetric_residuals():
         SoftChannel.from_bundle(
             EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
                            w_hat=5.0, l=6, epsilon=0.01))
+
+
+def test_from_bundle_prior_uses_left_limit_at_a_residual():
+    # Bob's bit is 0 iff the residual is >= -c_hat * a, so a residual sitting
+    # exactly on a node's threshold counts toward bit 0
+    k = int(np.argmax(NORMAL_WEIGHTS))
+    c_hat = 1.0
+    res = tuple(sorted((-c_hat * NORMAL_NODES[k], -1.7, -0.9, 0.9, 1.7, 2.5)))
+    bundle = EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=c_hat, v_ab_hat=4.0,
+                            w_hat=5.0, l=6, epsilon=0.01, residuals=res)
+    cdf = EmpiricalCdf(points=res)
+    z0 = float(np.dot(NORMAL_WEIGHTS, 1.0 - cdf.eval_left(-c_hat * NORMAL_NODES)))
+    chan = SoftChannel.from_bundle(bundle)
+    assert chan.prior_log_ratio == pytest.approx(math.log(1.0 - z0) - math.log(z0),
+                                                 abs=1e-12)
 
 
 # ------------------------------------------------------------------- decoding

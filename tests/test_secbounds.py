@@ -20,7 +20,6 @@ from gausskey.secbounds import (
     GaussianMixture,
     PointMasses,
     build_certified_exponent,
-    certified_exponent,
     key_rate_symmetric,
     minimize_convex,
     minimize_exponent,
@@ -280,18 +279,6 @@ def test_build_certified_exponent_rejects_weak_correlation():
         build_certified_exponent(bundle, eve, params, EPS)
 
 
-def test_certified_exponent_wrapper_agrees():
-    params = ChannelParams(bob_gain=math.sqrt(2.0), bob_noise=1.0,
-                           bob_offset=0.0, eve_gain=math.sqrt(2.0),
-                           eve_noise=1.0)
-    rng = np.random.default_rng(8)
-    res = tuple(np.sort(rng.normal(scale=math.sqrt(1.2), size=2000)).tolist())
-    bundle = reference_bundle(res)
-    eve = estimate_eve_cdf(bundle, params)
-    ev = build_certified_exponent(bundle, eve, params, EPS)
-    assert certified_exponent(bundle, eve, params, EPS, 0.2) == ev(0.2)
-
-
 def test_reference_evaluator_tracks_certified_build():
     # with estimates pinned at their expectations the live build on a large
     # Gaussian residual sample must land close to the analytic evaluator
@@ -405,14 +392,29 @@ def test_sacrifice_length_edges():
         sacrifice_length(ev, 100, -1000.0)
 
 
-def test_sacrifice_length_reference_scale():
-    # analytic evaluator at the symmetric geometry, million-round block
+@pytest.mark.parametrize("l, n, target, expected", [
+    (500_000, 1_000_000, -867.0, 302_942),  # frozen; about thirty percent of the block
+    # frozen at l = 1e4: the values the bracketed binary search returned
+    (10_000, 16_384, -20.0, 6395),
+    (10_000, 16_384, -40.0, 6605),
+    (10_000, 16_384, -80.0, 6911),
+    (10_000, 16_384, -160.0, 7357),
+    (10_000, 65_536, -20.0, 24512),
+    (10_000, 65_536, -40.0, 24923),
+    (10_000, 65_536, -80.0, 25518),
+    (10_000, 65_536, -160.0, 26374),
+    (10_000, 1_000_000, -20.0, 362121),
+    (10_000, 1_000_000, -40.0, 363700),
+    (10_000, 1_000_000, -80.0, 365969),
+    (10_000, 1_000_000, -160.0, 369210),
+])
+def test_sacrifice_length_reference_scale(l, n, target, expected):
+    # analytic evaluator at the symmetric geometry
     params = ChannelParams(bob_gain=math.sqrt(2.0), bob_noise=1.0,
                            bob_offset=0.0, eve_gain=math.sqrt(2.0),
                            eve_noise=1.0)
-    ev = reference_exponent_evaluator(params, 0.2, l=500_000, epsilon=EPS)
-    m1 = sacrifice_length(ev, 1_000_000, -867.0)
-    assert m1 == 302_942  # frozen; about thirty percent of the block
+    ev = reference_exponent_evaluator(params, 0.2, l=l, epsilon=EPS)
+    assert sacrifice_length(ev, n, target) == expected
 
 
 # ----------------------------------------------------------------- key rate

@@ -151,6 +151,15 @@ class EveCdf:
         return self.base
 
 
+def _sample_pairs(samples) -> np.ndarray:
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("samples must be an (l, 2) array of (a, b) pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
+    return arr
+
+
 def estimate_moments(samples, epsilon: float) -> EstimateBundle:
     """First estimation round: moments of (symbol, observation) pairs.
 
@@ -158,9 +167,7 @@ def estimate_moments(samples, epsilon: float) -> EstimateBundle:
     than the centered variance: its expectation then matches the closed
     form used by the reference numbers for Gaussian channels.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be an (l, 2) array of (a, b) pairs")
+    arr = _sample_pairs(samples)
     l = arr.shape[0]
     if l < 2:
         raise ValueError("need at least 2 samples")
@@ -192,8 +199,7 @@ def residuals(samples2, bundle: EstimateBundle) -> EstimateBundle:
     arr = np.asarray(samples2, dtype=float)
     if arr.size == 0:
         raise ValueError("second estimation round is empty")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be an (l, 2) array of (a, b) pairs")
+    arr = _sample_pairs(arr)
     res = arr[:, 1] - bundle.c_hat * arr[:, 0] - bundle.e_hat
     res = np.sort(res)
     return replace(bundle, residuals=tuple(res.tolist()))

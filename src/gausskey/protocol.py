@@ -10,6 +10,7 @@ the Transcript, which is sufficient for Alice to replay her side bit for bit.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ STATUS_VERIFICATION_FAILED = "verification-failed"
 STATUS_ABORTED = "aborted"
 
 _SEED_BOUND = 2**63
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ class Transcript:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Transcript":
-        return Transcript(
+        """Parse a transcript, rejecting values no run publishes."""
+        transcript = Transcript(
             sampling_seed=int(data["sampling_seed"]),
             e_hat=float(data["e_hat"]),
             v_hat=float(data["v_hat"]),
@@ -143,6 +146,15 @@ class Transcript:
             bob_tag_hex=str(data["bob_tag_hex"]),
             alice_tag_hex=str(data["alice_tag_hex"]),
         )
+        res = np.asarray(transcript.residuals)
+        if res.size == 0 or not np.isfinite(res).all() or np.any(res[1:] < res[:-1]):
+            raise ValueError("transcript residuals must be finite and sorted")
+        if transcript.m1 < 0 or transcript.m2 < 0:
+            raise ValueError("transcript m1 and m2 must be nonnegative")
+        words = transcript.coset_hex + (transcript.bob_tag_hex, transcript.alice_tag_hex)
+        if not all(set(w) <= _HEX_DIGITS for w in words):
+            raise ValueError("transcript coset words and tags must be hex strings")
+        return transcript
 
 
 @dataclass(frozen=True)
@@ -380,6 +392,13 @@ def replay_alice(
     if n <= 0 or n % code.n_code != 0:
         raise ValueError("symbol record does not match the transcript")
     num_blocks = n // code.n_code
+    if len(transcript.coset_hex) != num_blocks:
+        raise ValueError(
+            f"transcript carries {len(transcript.coset_hex)} coset words "
+            f"for {num_blocks} blocks"
+        )
+    if transcript.m1 + transcript.m2 > num_blocks * code.dim:
+        raise ValueError("transcript sacrifice plus tag exceeds the code dimension")
 
     perm = np.random.default_rng(transcript.sampling_seed).permutation(total)
     distill = perm[2 * l :]

@@ -364,6 +364,17 @@ def test_estimate_rejects_bad_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_estimate_rejects_non_finite_data(tmp_path, capsys):
+    scen = write_scenario(tmp_path, "unused.alist")
+    data = tmp_path / "nan.csv"
+    rows = ["%r,%r" % (0.1 * k, 0.2 * k) for k in range(16)]
+    rows[5] = "0.5,nan"
+    data.write_text("a,b\n" + "\n".join(rows) + "\n")
+    assert main(["estimate", "--scenario", scen, "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
+
+
 # --------------------------------------------------------------------- parser
 
 def test_usage_errors_and_help(capsys):

@@ -114,6 +114,14 @@ def test_estimate_moments_validation():
         estimate_moments(np.zeros((10, 2)), 0.5)  # epsilon outside (0, 1/2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_moments_rejects_non_finite_samples(bad):
+    samples = np.random.default_rng(2).standard_normal((10_000, 2))
+    samples[137, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_moments(samples, EPS)
+
+
 def test_small_sample_warning():
     rng = np.random.default_rng(1)
     samples = rng.standard_normal((500, 2))
@@ -133,6 +141,16 @@ def test_residuals_are_sorted_and_centered(reference_params):
     assert res.mean() == pytest.approx(0.0, abs=0.05)
     assert res.var() == pytest.approx(1.2, abs=0.05)
     assert not bundle.complete and full.complete
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residuals_rejects_non_finite_samples(bad):
+    rng = np.random.default_rng(3)
+    bundle = estimate_moments(rng.standard_normal((10_000, 2)), EPS)
+    second = rng.standard_normal((10_000, 2))
+    second[9_999, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        residuals(second, bundle)
 
 
 # --------------------------------------------------------------------- CDFs

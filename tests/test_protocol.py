@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausskey.estimation import EstimateBundle
 from gausskey.gaussmodel import ChannelParams, NoiseSpec, sample_rounds
@@ -84,14 +87,18 @@ def test_runs_are_deterministic_given_seed(weak_eve_params, weak_eve_noise, smal
     assert a.transcript == b.transcript
 
 
+def demo_alice_symbols(params, noise, seed):
+    # reproduce the run's sampling: one seed draw precedes the channel use
+    rng = np.random.default_rng(seed)
+    rng.integers(2**63)
+    alice, _bob, _eve, _inj = sample_rounds(params, noise, rng, 4096 + 2 * 10_000)
+    return alice
+
+
 def test_replay_from_transcript_is_bit_exact(weak_eve_params, weak_eve_noise,
                                              small_code):
     out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
-    # reproduce the run's sampling: one seed draw precedes the channel use
-    rng = np.random.default_rng(101)
-    rng.integers(2**63)
-    alice, _bob, _eve, _inj = sample_rounds(
-        weak_eve_params, weak_eve_noise, rng, 4096 + 2 * 10_000)
+    alice = demo_alice_symbols(weak_eve_params, weak_eve_noise, 101)
     replayed = replay_alice(alice, out.transcript, small_code)
     assert replayed == out.alice_key
 
@@ -101,6 +108,27 @@ def test_replay_rejects_wrong_record_length(weak_eve_params, weak_eve_noise,
     out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
     with pytest.raises(ValueError, match="does not match"):
         replay_alice(np.zeros(100), out.transcript, small_code)
+
+
+def test_replay_rejects_inconsistent_transcripts(weak_eve_params, weak_eve_noise,
+                                                 small_code):
+    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
+    t = out.transcript
+    alice = demo_alice_symbols(weak_eve_params, weak_eve_noise, 101)
+    blocks = 4096 // small_code.n_code
+    assert len(t.coset_hex) == blocks
+    for words in (t.coset_hex[:-1], t.coset_hex + t.coset_hex[:1], ()):
+        bad = dataclasses.replace(t, coset_hex=words)
+        with pytest.raises(ValueError, match="coset words"):
+            replay_alice(alice, bad, small_code)
+    budget = blocks * small_code.dim
+    # spending exactly the whole code dimension leaves an empty key
+    edge = dataclasses.replace(t, m1=budget - t.m2)
+    assert replay_alice(alice, edge, small_code).length == 0
+    for m1, m2 in ((budget - t.m2 + 1, t.m2), (0, budget + 1)):
+        bad = dataclasses.replace(t, m1=m1, m2=m2)
+        with pytest.raises(ValueError, match="exceeds the code dimension"):
+            replay_alice(alice, bad, small_code)
 
 
 # -------------------------------------------------------------------- aborts
@@ -231,6 +259,61 @@ def test_transcript_json_round_trip(weak_eve_params, weak_eve_noise, small_code)
     t = run_demo(weak_eve_params, weak_eve_noise, small_code, 101).transcript
     back = Transcript.from_json_dict(json.loads(json.dumps(t.to_json_dict())))
     assert back == t
+
+
+_SMALL_TRANSCRIPT = Transcript(
+    sampling_seed=1, e_hat=0.0, v_hat=4.5, c_hat=2.0, v_ab_hat=9.0,
+    residuals=(-0.5, 0.0, 0.25), coset_hex=("0f", "a3"), m1=3, m2=2,
+    pa_seed=5, verify_seed=6, bob_tag_hex="c", alice_tag_hex="c",
+)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("residuals", [0.1, float("nan"), 0.3]),
+    ("residuals", [0.1, 0.2, float("inf")]),
+    ("residuals", [0.2, 0.1, 0.3]),
+    ("residuals", []),
+    ("m1", -1),
+    ("m2", -1),
+    ("coset_hex", ["00ff", "0g1f"]),
+    ("coset_hex", ["00 f"]),
+    ("bob_tag_hex", "xyz"),
+])
+def test_transcript_json_rejects_malformed_fields(field, value):
+    data = _SMALL_TRANSCRIPT.to_json_dict()
+    assert Transcript.from_json_dict(data) == _SMALL_TRANSCRIPT
+    data[field] = value
+    with pytest.raises(ValueError, match="transcript"):
+        Transcript.from_json_dict(data)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_seed = st.integers(min_value=0, max_value=2**63 - 1)
+_hex = st.text(alphabet="0123456789abcdef", max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.tuples(_seed, _seed, _seed),
+    moments=st.tuples(_finite, _finite, _finite, _finite),
+    residuals=st.lists(_finite, min_size=1, max_size=50).map(sorted),
+    coset_hex=st.lists(_hex, max_size=8),
+    m1=st.integers(min_value=0, max_value=2**20),
+    m2=st.integers(min_value=0, max_value=2**10),
+    tags=st.tuples(_hex, _hex),
+)
+def test_transcript_json_round_trip_property(seeds, moments, residuals,
+                                             coset_hex, m1, m2, tags):
+    t = Transcript(
+        sampling_seed=seeds[0], e_hat=moments[0], v_hat=moments[1],
+        c_hat=moments[2], v_ab_hat=moments[3], residuals=tuple(residuals),
+        coset_hex=tuple(coset_hex), m1=m1, m2=m2, pa_seed=seeds[1],
+        verify_seed=seeds[2], bob_tag_hex=tags[0], alice_tag_hex=tags[1],
+    )
+    text = json.dumps(t.to_json_dict())
+    back = Transcript.from_json_dict(json.loads(text))
+    assert back == t
+    assert json.dumps(back.to_json_dict()) == text
 
 
 def test_config_validation():

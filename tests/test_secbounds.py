@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from gausskey.estimation import (
+    NORMAL_NODES,
     EmpiricalCdf,
     EstimateBundle,
     estimate_eve_cdf,
@@ -13,6 +14,7 @@ from gausskey.estimation import (
 )
 from gausskey.gaussmodel import ChannelParams
 from gausskey.secbounds import (
+    _BLOCK,
     MODIFIED_MUTUAL_INFO,
     VARIATIONAL_DISTANCE,
     AnalyticGaussian,
@@ -235,6 +237,56 @@ def test_padded_evaluator_validation_and_memo():
         ev(1.0)
     assert ev(0.37) is not None
     assert 0.37 in ev._cache
+
+
+def _two_pass_lq_mean(p, ws, q):
+    # the unblocked formula the evaluator's kernel must reproduce bit for bit
+    hi = np.maximum(p, 1.0 - p)
+    lo = np.minimum(p, 1.0 - p)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        ratio_q = np.exp(q * np.log(np.where(lo > 0, lo / hi, 1.0)))
+    ratio_q = np.where(lo > 0, ratio_q, 0.0)
+    vals = hi * np.exp(np.log1p(ratio_q) / q)
+    return float(np.dot(ws, vals))
+
+
+def _kernel_oracle_case(name):
+    rng = np.random.default_rng(11)
+    stdev = 0.5
+    bulk = rng.normal(0.0, 3.0, 1500 - 43)
+    # kernels centred far enough out that ndtr returns exactly 0 or 1, a
+    # sweep through the range where min(p, 1-p) is subnormal, and a point
+    # whose kernel puts one quadrature node exactly on 0 (p = 1/2)
+    far = np.array([-90.0, -60.0, 60.0, 90.0])
+    tails = np.concatenate([np.linspace(-58.0, -28.0, 19), np.linspace(28.0, 58.0, 18)])
+    centre = np.array([-(stdev * NORMAL_NODES[40])])
+    pts = np.concatenate([bulk, far, tails, centre, [0.0]])
+    return {
+        "mixture": (GaussianMixture(points=tuple(pts.tolist()), stdev=stdev), 1.0),
+        "points": (PointMasses(tuple(pts.tolist())), 2.0),
+        "analytic": (AnalyticGaussian(1.3), 0.7),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["mixture", "points", "analytic"])
+def test_block_kernel_matches_two_pass_formula_bitwise(name):
+    dist, v = _kernel_oracle_case(name)
+    pad = 0.003
+    ev = ExponentWithPadding(dist, v, pad)
+    if name == "mixture":
+        # spans several kernel blocks and ends in a partial one
+        assert ev._p.size == 1500 * 96
+        assert ev._p.size > 2 * _BLOCK and ev._p.size % _BLOCK != 0
+        assert np.any(ev._p == 0.0) and np.any(ev._p == 1.0)
+        assert np.any(ev._p == 0.5)
+    for t in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.9999):
+        base = _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t))
+        assert ev.raw(t) == math.log2(base)
+        assert ev(t) == math.log2(base + 2.0 * (1.0 - 2.0**-t) * pad)
+    # a last-bit change inside the kernel (say x * (1/q) for x / q) reaches
+    # the returned value only at a few t, so sweep densely as well
+    for t in np.linspace(0.001, 0.999, 300).tolist():
+        assert ev.raw(t) == math.log2(_two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)))
 
 
 # --------------------------------------------------------- certified builder

@@ -114,9 +114,14 @@ class EstimateBundle:
         return len(self.residuals) > 0
 
     def underline_c(self, epsilon: float | None = None) -> float:
-        """Covariance estimate shrunk by its confidence radius (conservative)."""
+        """Covariance magnitude |c_hat| shrunk by its confidence radius (conservative).
+
+        Only |c_hat| carries the correlation: a negative gain flips Bob's
+        bits against Alice's symbol, which reconciliation absorbs through
+        the sign of c_hat. Negative when |c_hat| is inside the radius.
+        """
         eps = self.epsilon if epsilon is None else epsilon
-        return self.c_hat - math.sqrt(self.v_ab_hat) * two_sided_z(eps) / math.sqrt(self.l)
+        return abs(self.c_hat) - math.sqrt(self.v_ab_hat) * two_sided_z(eps) / math.sqrt(self.l)
 
     def confidence_intervals(self) -> dict[str, tuple[float, float]]:
         z = two_sided_z(self.epsilon)

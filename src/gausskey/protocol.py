@@ -185,7 +185,7 @@ def post_selection_gate(bundle: EstimateBundle, params: ChannelParams) -> bool:
     v_y_hat = max(bundle.v_hat - bundle.c_hat**2 - params.bob_noise**2, 0.0)
     if v_y_hat == 0.0:
         return bundle.c_hat != 0.0
-    uc = bundle.underline_c()
+    uc = max(bundle.underline_c(), 0.0)  # no certified signal when |c_hat| <= radius
     ratio = params.eve_gain**2 / params.eve_noise**2
     return uc * uc / v_y_hat > ratio + 1.0
 

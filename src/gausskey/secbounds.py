@@ -125,7 +125,7 @@ def sign_entropy(dist, v: float) -> float:
         raise ValueError("conditional variance must be positive")
     xs, ws = _probe(dist)
     p = ndtr(xs / math.sqrt(v))
-    return float(np.dot(ws, _binary_entropy(p)))
+    return float(np.einsum("i,i->", ws, _binary_entropy(p)))
 
 
 def sign_exponent(dist, v: float, t: float) -> float:
@@ -144,9 +144,10 @@ class ExponentWithPadding:
     so both are stored once. log r is -inf where min = 0, which makes
     r^q = exp(q log r) exactly 0 there: the q -> inf limit, and no special
     case. A call evaluates the norm in blocks of _BLOCK points, recomputing
-    hi per block, into one vector and takes a single dot product over it,
-    so each value is bit-identical to the unblocked two-pass formula.
-    Calls are memoized by t.
+    hi per block, into one vector and takes a single weighted sum over it,
+    so each value is bit-identical to the unblocked two-pass formula. The
+    sum is an einsum, not a BLAS dot, so its bits do not depend on the BLAS
+    thread count. Calls are memoized by t.
     """
 
     def __init__(self, dist, v: float, padding: float):
@@ -182,7 +183,7 @@ class ExponentWithPadding:
                 out /= q
                 np.exp(out, out=out)
                 out *= np.maximum(p[block], 1.0 - p[block])
-        return float(np.dot(self._ws, vals))
+        return float(np.einsum("i,i->", self._ws, vals))
 
     def raw(self, t: float) -> float:
         """Exponent without the padding term."""
@@ -210,7 +211,7 @@ def build_certified_exponent(
 ) -> ExponentWithPadding:
     """Padded exponent from live estimates, conservative against estimation error.
 
-    The covariance estimate is shrunk by its confidence radius before it
+    The covariance magnitude is shrunk by its confidence radius before it
     enters the conditional variance (smaller variance never understates the
     exponent), and the CDF estimation error bound is added inside the
     exponential.
@@ -276,6 +277,63 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _brent_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Bounded Brent minimization: golden section plus parabolic steps.
+
+    The fminbound algorithm (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5). Every evaluation lies strictly inside
+    (lo, hi); returns the best point seen and its value.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)  # best, second best, previous w
+    fx = fw = fv = f(x)
+    d = e = 0.0  # last step and the step before it
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        use_golden = True
+        if abs(e) > tol1:  # try a parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                use_golden = False
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if use_golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = golden * e
+        u = x + math.copysign(max(abs(d), tol1), d or 1.0)  # step at least tol1
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def minimize_convex(
@@ -373,16 +431,17 @@ def sacrifice_length(phi_fn, n: int, target_log2: float) -> int:
 
     bound(m1) <= T holds iff t (n - m1) + n phi(t) <= T - log2 3 for some t,
     so the minimal m1 is ceil(n - max_t (T - log2 3 - n phi(t)) / t), one
-    quasiconcave maximization. A two-point guard then checks
+    quasiconcave maximization. A bounded Brent search over t in [1e-9, 1/2]
+    to 1e-6 in t seeds m1 from it; a two-point guard then checks
     bound(m1) <= T < bound(m1 - 1) on the full minimization and steps m1 by
-    one while either check fails.
+    one while either check fails, so m1 does not depend on the seed's accuracy.
     """
     target_prime = target_log2 - math.log2(3.0)
 
     def margin(t: float) -> float:
         return (target_prime - n * phi_fn(t)) / t
 
-    _, neg = _golden_section(lambda t: -margin(t), 1e-9, 0.5, 1e-9)
+    _, neg = _brent_bounded(lambda t: -margin(t), 1e-9, 0.5, 1e-6)
     m1 = max(0, min(n, math.ceil(n + neg)))  # neg = -max margin
     while True:
         if _bound_at(phi_fn, n, m1) > target_log2:

@@ -319,3 +319,12 @@ def test_confidence_intervals_and_underline(reference_params):
     assert bundle.underline_c() == pytest.approx(lo)
     # underline shrinks toward zero as epsilon shrinks
     assert bundle.underline_c(1e-9) < bundle.underline_c(1e-3) < bundle.c_hat
+
+
+def test_underline_c_shrinks_the_covariance_magnitude():
+    # a negative gain carries the same correlation as a positive one
+    for eps in (None, 1e-3, 1e-9):
+        assert make_bundle(c_hat=-math.sqrt(2.0)).underline_c(eps) == make_bundle().underline_c(eps)
+    # inside the confidence radius nothing is certified, whatever the sign
+    assert make_bundle(c_hat=1e-3).underline_c() < 0
+    assert make_bundle(c_hat=-1e-3).underline_c() == make_bundle(c_hat=1e-3).underline_c()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausskey.estimation import EstimateBundle
+from gausskey.estimation import EstimateBundle, two_sided_z
 from gausskey.gaussmodel import ChannelParams, NoiseSpec, sample_rounds
 from gausskey.protocol import (
     STATUS_ABORTED,
@@ -19,6 +19,7 @@ from gausskey.protocol import (
     replay_alice,
     run_protocol,
 )
+from gausskey.reconciliation import gallager_code
 from gausskey.secbounds import MODIFIED_MUTUAL_INFO, VARIATIONAL_DISTANCE
 
 TARGET = -40.0
@@ -253,6 +254,47 @@ def test_post_selection_gate_decisions():
     # explained-plus-detector exceeds observed: degenerate test on the sign
     assert post_selection_gate(bundle(2.0, 2.0), params)
     assert not post_selection_gate(bundle(2.0, 0.0), params)
+
+
+def test_post_selection_gate_rejects_covariance_inside_its_radius():
+    params = ChannelParams(bob_gain=2.0, bob_noise=0.5, bob_offset=0.0,
+                           eve_gain=1.0, eve_noise=1.0)
+    l, v_ab = 100, 9.0
+    radius = math.sqrt(v_ab) * two_sided_z(5e-5) / math.sqrt(l)
+
+    def bundle(c_hat):
+        # inferred injected variance 0.01, so any squared certified gain
+        # above 0.02 would clear the threshold 2
+        v_hat = c_hat**2 + 0.25 + 0.01
+        return EstimateBundle(e_hat=0.0, v_hat=v_hat, c_hat=c_hat,
+                              v_ab_hat=v_ab, w_hat=10.0, l=l, epsilon=5e-5)
+
+    for c_hat in (0.5, -0.5, radius, -radius, 0.01):
+        assert abs(c_hat) <= radius
+        assert not post_selection_gate(bundle(c_hat), params)
+    for c_hat in (radius + 0.5, -(radius + 0.5)):
+        assert post_selection_gate(bundle(c_hat), params)
+
+
+@pytest.fixture(scope="module")
+def rate_half_code():
+    return gallager_code(4096, 4, 8, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_negative_bob_gain_yields_a_key(weak_eve_noise, rate_half_code, seed):
+    # ChannelParams allows either sign of bob_gain; the flip only inverts
+    # Bob's bits against Alice's symbol
+    params = ChannelParams(bob_gain=-2.0, bob_noise=0.5, bob_offset=0.0,
+                           eve_gain=0.3, eve_noise=2.0)
+    out = run_protocol(params, weak_eve_noise, demo_config(n=16384),
+                       np.random.default_rng(seed), code=rate_half_code)
+    assert out.status == STATUS_SUCCESS, out.abort_reason
+    assert out.key_length > 0
+    assert out.alice_key == out.bob_key
+    dist = next(c for c in out.certificates if c.criterion == VARIATIONAL_DISTANCE)
+    assert dist.log2_bound <= TARGET
+    assert dist.shrunk_param > 0
 
 
 def test_transcript_json_round_trip(weak_eve_params, weak_eve_noise, small_code):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import gausskey
 from gausskey.estimation import (
     NORMAL_NODES,
     EmpiricalCdf,
@@ -21,6 +26,7 @@ from gausskey.secbounds import (
     ExponentWithPadding,
     GaussianMixture,
     PointMasses,
+    _brent_bounded,
     build_certified_exponent,
     key_rate_symmetric,
     minimize_convex,
@@ -247,7 +253,7 @@ def _two_pass_lq_mean(p, ws, q):
         ratio_q = np.exp(q * np.log(np.where(lo > 0, lo / hi, 1.0)))
     ratio_q = np.where(lo > 0, ratio_q, 0.0)
     vals = hi * np.exp(np.log1p(ratio_q) / q)
-    return float(np.dot(ws, vals))
+    return float(np.einsum("i,i->", ws, vals))
 
 
 def _kernel_oracle_case(name):
@@ -287,6 +293,44 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
     # the returned value only at a few t, so sweep densely as well
     for t in np.linspace(0.001, 0.999, 300).tolist():
         assert ev.raw(t) == math.log2(_two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)))
+
+
+_THREAD_PROBE = """
+import numpy as np
+from gausskey.secbounds import ExponentWithPadding, GaussianMixture, sign_entropy
+pts = np.random.default_rng(3).normal(0.0, 1.2, 2000)
+dist = GaussianMixture(points=tuple(pts.tolist()), stdev=0.4)
+ev = ExponentWithPadding(dist, 1.5, 0.0)
+assert ev._p.size >= 1 << 17
+print(repr([ev.raw(t) for t in (1e-6, 0.01, 0.1, 0.3, 0.5)]), repr(sign_entropy(dist, 1.5)))
+"""
+
+
+def _run_python(code, **env):
+    src = str(Path(gausskey.__file__).resolve().parents[1])
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=full_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_exponent_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot splits long reductions across threads and its last bits
+    # then follow the thread count; the kernel's sum must not
+    outs = [
+        _run_python(_THREAD_PROBE, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
+        for k in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a few tenths of a second to import, paid by every
+    # process start and every keygen worker
+    out = _run_python("import sys, gausskey.cli; print('scipy.optimize' in sys.modules)")
+    assert out.strip() == "False"
 
 
 # --------------------------------------------------------- certified builder
@@ -364,6 +408,42 @@ def test_minimize_convex_interior_and_endpoint():
     assert x == 1.0
     with pytest.raises(ValueError):
         minimize_convex(lambda t: t, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("f, lo, hi, x_min", [
+    (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.3),
+    (lambda x: math.exp(x) - 2.0 * x, 0.0, 1.0, math.log(2.0)),
+    (lambda x: abs(x - 0.123456789), -2.0, 3.0, 0.123456789),
+    (lambda x: x, 1e-9, 0.5, 1e-9),  # minimum on the lower edge
+    (lambda x: x * x - 3.0 * x, 0.0, 1.0, 1.0),  # minimum on the upper edge
+], ids=["parabola", "exp", "kink", "lower-edge", "upper-edge"])
+def test_brent_bounded_converges_inside_the_interval(f, lo, hi, x_min):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    x, fx = _brent_bounded(g, lo, hi, 1e-6)
+    assert abs(x - x_min) <= 1e-6
+    assert fx == f(x) == min(f(s) for s in seen)
+    assert all(lo < s < hi for s in seen)
+
+
+@pytest.mark.parametrize("l, n, target, m1", [
+    (10_000, 16_384, -40.0, 6605),
+    (10_000, 65_536, -40.0, 24923),
+    (500_000, 1_000_000, -867.0, 302_942),
+    (10_000, 1_000_000, -160.0, 369_210),
+])
+def test_sacrifice_length_evaluation_count(l, n, target, m1):
+    params = ChannelParams(bob_gain=math.sqrt(2.0), bob_noise=1.0,
+                           bob_offset=0.0, eve_gain=math.sqrt(2.0),
+                           eve_noise=1.0)
+    ev = reference_exponent_evaluator(params, 0.2, l=l, epsilon=EPS)
+    assert sacrifice_length(ev, n, target) == m1
+    # distinct exponent evaluations of the seed search and the guard
+    assert len(ev._cache.keys() - {0.0}) <= 70
 
 
 def test_minimize_exponent_flat_closed_forms():

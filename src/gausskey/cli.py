@@ -293,6 +293,8 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_curve(args: argparse.Namespace) -> int:
+    if args.points < 2 or not (0 < args.s_min < args.s_max < 1.0):
+        raise ScenarioError("need points >= 2 and 0 < s-min < s-max < 1")
     scenario = load_scenario(args.scenario)
     cfg = scenario.config
     phi = reference_exponent_evaluator(
@@ -302,8 +304,6 @@ def cmd_bound_curve(args: argparse.Namespace) -> int:
         m1 = cfg.m1_override
     else:
         m1 = sacrifice_length(phi, cfg.n, cfg.security_target_log2)
-    if args.points < 2 or not (0 < args.s_min < args.s_max < 1.0):
-        raise ScenarioError("need points >= 2 and 0 < s-min < s-max < 1")
     rows = []
     for s in np.linspace(args.s_min, args.s_max, args.points):
         val = math.log2(3.0) + s * (cfg.n - m1) + cfg.n * phi(float(s))

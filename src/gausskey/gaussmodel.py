@@ -19,9 +19,7 @@ import numpy as np
 __all__ = [
     "ChannelParams",
     "NoiseSpec",
-    "RoundSample",
     "EveReduced",
-    "sample_round",
     "sample_rounds",
     "condense_eve_view",
     "listener_geometry",
@@ -123,14 +121,6 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class RoundSample:
-    alice: float  # Alice's Gaussian symbol
-    bob: float  # Bob's observation
-    eve: float  # Eve's observation
-    injected: float  # injected noise value, known to Eve
-
-
-@dataclass(frozen=True)
 class EveReduced:
     """Eve's pair (observation, injected noise) condensed to one scalar.
 
@@ -158,13 +148,6 @@ def sample_rounds(
     b = params.bob_gain * a + y + params.bob_noise * x1 + params.bob_offset
     e = params.eve_gain * a + params.eve_noise * x2
     return a, b, e, y
-
-
-def sample_round(
-    params: ChannelParams, noise: NoiseSpec, rng: np.random.Generator
-) -> RoundSample:
-    a, b, e, y = sample_rounds(params, noise, rng, 1)
-    return RoundSample(alice=a[0], bob=b[0], eve=e[0], injected=y[0])
 
 
 def condense_eve_view(params: ChannelParams, eve: float, injected: float) -> EveReduced:

@@ -260,25 +260,6 @@ def reference_exponent_evaluator(
     return ExponentWithPadding(dist, v, pad)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _brent_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
     """Bounded Brent minimization: golden section plus parabolic steps.
 
@@ -336,44 +317,25 @@ def _brent_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]
                 v, fv = u, fu
 
 
-def minimize_convex(
-    f,
-    lo: float,
-    hi: float,
-    step: float = 1e-6,
-    tol: float = 1e-6,
-    noise_floor: float = 1e-12,
-) -> tuple[float, float]:
-    """Scalar convex minimization: bisect on the central-difference slope.
+def minimize_convex(f, lo: float, hi: float) -> tuple[float, float]:
+    """Scalar convex minimization on [lo, hi] by bounded Brent to 1e-6.
 
-    Falls back to golden section when the difference drops below the noise
-    floor (flat stretches near t = 0 of padded exponents). Endpoints are
-    compared explicitly since the minimum may sit on the boundary.
+    Brent evaluates only the open interval, so both endpoints are compared
+    explicitly: the distance minimum sits at t = 0 whenever the sacrifice is
+    too small. A non-finite value raises, since NaN comparisons would
+    silently steer the search.
     """
     if not (hi > lo):
         raise ValueError("empty interval")
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        h = min(step, 0.25 * (b - a))
-        diff = f(min(mid + h, hi)) - f(max(mid - h, lo))
-        if not math.isfinite(diff):
+
+    def checked(t: float) -> float:
+        val = f(t)
+        if not math.isfinite(val):
             raise ValueError("non-finite objective value")
-        if abs(diff) < noise_floor:
-            x, fx = _golden_section(f, a, b, tol)
-            break
-        if diff > 0:
-            b = mid
-        else:
-            a = mid
-    else:
-        x = 0.5 * (a + b)
-        fx = f(x)
-    for cand in (lo, hi):
-        fc = f(cand)
-        if fc < fx:
-            x, fx = cand, fc
-    return x, fx
+        return val
+
+    inner = _brent_bounded(checked, lo, hi, 1e-6)
+    return min(inner, (lo, checked(lo)), (hi, checked(hi)), key=lambda p: p[1])
 
 
 def minimize_exponent(
@@ -390,23 +352,18 @@ def minimize_exponent(
     variational-distance: min over [0, 1/2] of t(n - m1) + n phi(t), bound
     log2(3) plus the minimum. modified-mutual-info: the same affine family
     minus log2(s), searched over (0, 1) clipped away from the endpoints
-    where 1/s blows up.
+    where 1/s blows up. Both go through minimize_convex, which raises on a
+    non-finite phi. Any t gives a valid bound, so the search's accuracy
+    moves only tightness.
     """
     if not (0 <= m1 <= n):
         raise ValueError("need 0 <= m1 <= n")
-
-    def checked_phi(t: float) -> float:
-        val = phi_fn(t)
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite exponent value at t={t}")
-        return val
-
     if criterion == VARIATIONAL_DISTANCE:
-        obj = lambda t: t * (n - m1) + n * checked_phi(t)
+        obj = lambda t: t * (n - m1) + n * phi_fn(t)
         s_star, val = minimize_convex(obj, 0.0, 0.5)
         bound = math.log2(3.0) + val
     elif criterion == MODIFIED_MUTUAL_INFO:
-        obj = lambda s: s * (n - m1) + n * checked_phi(s) - math.log2(s)
+        obj = lambda s: s * (n - m1) + n * phi_fn(s) - math.log2(s)
         s_star, bound = minimize_convex(obj, 1e-4, 1.0 - 1e-4)
     else:
         raise ValueError(f"unknown criterion: {criterion!r}")
@@ -433,8 +390,11 @@ def sacrifice_length(phi_fn, n: int, target_log2: float) -> int:
     so the minimal m1 is ceil(n - max_t (T - log2 3 - n phi(t)) / t), one
     quasiconcave maximization. A bounded Brent search over t in [1e-9, 1/2]
     to 1e-6 in t seeds m1 from it; a two-point guard then checks
-    bound(m1) <= T < bound(m1 - 1) on the full minimization and steps m1 by
-    one while either check fails, so m1 does not depend on the seed's accuracy.
+    bound(m1) <= T < bound(m1 - 1) on the full minimization (the same Brent
+    search, through minimize_exponent) and steps m1 by one while either
+    check fails, so m1 does not depend on the seed's accuracy. The guard's
+    bound(m1) is the distance certificate at m1, so a memoized phi_fn
+    serves that certificate without new evaluations.
     """
     target_prime = target_log2 - math.log2(3.0)
 

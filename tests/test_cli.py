@@ -284,6 +284,15 @@ def test_bound_curve_rejects_bad_grid(tmp_path, small_code_path, capsys):
     assert main(["bound-curve", "--scenario", scen, "--s-max", "1.0",
                  "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+    # the grid is checked before any work, even where the target is hopeless
+    protocol = dict(scenario_dict(small_code_path)["protocol"], target=-1e5)
+    hopeless = write_scenario(tmp_path, small_code_path, name="hopeless.json",
+                              protocol=protocol)
+    assert main(["bound-curve", "--scenario", hopeless, "--out", out]) == 2
+    assert "unachievable" in capsys.readouterr().err
+    assert main(["bound-curve", "--scenario", hopeless, "--points", "1",
+                 "--out", out]) == 2
+    assert "need points >= 2" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- estimate

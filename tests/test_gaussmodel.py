@@ -9,7 +9,6 @@ from gausskey.gaussmodel import (
     advantage_condition,
     combine_antennas,
     condense_eve_view,
-    sample_round,
     sample_rounds,
     split_complex_channel,
     squared_correlations,
@@ -34,11 +33,11 @@ def test_sample_round_is_the_documented_affine_combination():
     # draw order: symbol, Bob detector, Eve detector, injected
     rng = StubRng([1.0, -2.0, 0.5, 3.0])
     noise = NoiseSpec.gaussian(4.0)
-    sample = sample_round(params, noise, rng)
-    assert sample.alice == 1.0
-    assert sample.injected == 3.0 * 2.0  # stdev scales the unit draw
-    assert sample.bob == pytest.approx(1.5 * 1.0 + 6.0 + 0.5 * (-2.0) + 0.25)
-    assert sample.eve == pytest.approx(0.8 * 1.0 + 2.0 * 0.5)
+    a, b, e, y = sample_rounds(params, noise, rng, 1)
+    assert a[0] == 1.0
+    assert y[0] == 3.0 * 2.0  # stdev scales the unit draw
+    assert b[0] == pytest.approx(1.5 * 1.0 + 6.0 + 0.5 * (-2.0) + 0.25)
+    assert e[0] == pytest.approx(0.8 * 1.0 + 2.0 * 0.5)
 
 
 def test_bob_variance_at_reference_point(reference_params):

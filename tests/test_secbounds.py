@@ -443,7 +443,13 @@ def test_sacrifice_length_evaluation_count(l, n, target, m1):
     ev = reference_exponent_evaluator(params, 0.2, l=l, epsilon=EPS)
     assert sacrifice_length(ev, n, target) == m1
     # distinct exponent evaluations of the seed search and the guard
-    assert len(ev._cache.keys() - {0.0}) <= 70
+    evals = len(ev._cache.keys() - {0.0})
+    assert evals <= 40
+    # the guard already ran the distance minimization at m1: all memo hits
+    minimize_exponent(ev, n, m1, VARIATIONAL_DISTANCE)
+    assert len(ev._cache.keys() - {0.0}) == evals
+    minimize_exponent(ev, n, m1, MODIFIED_MUTUAL_INFO)
+    assert len(ev._cache.keys() - {0.0}) - evals <= 16
 
 
 def test_minimize_exponent_flat_closed_forms():
@@ -464,8 +470,39 @@ def test_minimize_exponent_validation():
         minimize_exponent(lambda t: 0.0, 10, 11, VARIATIONAL_DISTANCE)
     with pytest.raises(ValueError, match="unknown criterion"):
         minimize_exponent(lambda t: 0.0, 10, 0, "total-variation")
-    with pytest.raises(ValueError, match="non-finite"):
-        minimize_exponent(lambda t: float("nan"), 10, 0, VARIATIONAL_DISTANCE)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            minimize_exponent(lambda t: bad, 10, 0, VARIATIONAL_DISTANCE)
+
+
+def _grid_oracle_case(name):
+    params = ChannelParams(bob_gain=math.sqrt(2.0), bob_noise=1.0,
+                           bob_offset=0.0, eve_gain=math.sqrt(2.0),
+                           eve_noise=1.0)
+    if name == "mixture":
+        pts = np.random.default_rng(5).normal(0.0, 1.1, 300)
+        dist = GaussianMixture(points=tuple(pts.tolist()), stdev=0.6)
+        return ExponentWithPadding(dist, 1.4, 0.01), 4096, 2048  # interior minima
+    m1 = int(name.split("-")[1])
+    return reference_exponent_evaluator(params, 0.2, l=10_000, epsilon=EPS), 16_384, m1
+
+
+@pytest.mark.parametrize("criterion", [VARIATIONAL_DISTANCE, MODIFIED_MUTUAL_INFO])
+@pytest.mark.parametrize("name", ["reference-1000", "reference-6605",
+                                  "reference-9000", "mixture"])
+def test_minimize_exponent_beats_a_grid(criterion, name):
+    ev, n, m1 = _grid_oracle_case(name)
+    cert = minimize_exponent(ev, n, m1, criterion)
+    if criterion == VARIATIONAL_DISTANCE:
+        lo, hi = 0.0, 0.5
+        grid = [math.log2(3.0) + t * (n - m1) + n * ev(t)
+                for t in np.linspace(lo, hi, 2001).tolist()]
+    else:
+        lo, hi = 1e-4, 1.0 - 1e-4
+        grid = [s * (n - m1) + n * ev(s) - math.log2(s)
+                for s in np.linspace(lo, hi, 2001).tolist()]
+    assert cert.log2_bound <= min(grid) + 1e-9
+    assert lo <= cert.s_star <= hi
 
 
 def test_minimize_exponent_certificate_fields():

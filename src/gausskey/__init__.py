@@ -10,7 +10,6 @@ from .estimation import (
     EmpiricalCdf,
     EstimateBundle,
     EveCdf,
-    SmoothedCdf,
     estimate_eve_cdf,
     estimate_moments,
     ks_distance,
@@ -57,7 +56,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolOutcome",
     "SecurityCertificate",
-    "SmoothedCdf",
     "SoftChannel",
     "ToeplitzSeed",
     "Transcript",

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import (
-    EmpiricalCdf,
     estimate_eve_cdf,
     estimate_moments,
     ks_error_bound,
@@ -348,7 +347,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         },
         "smoothed": eve.smoothed,
         "smoothing_stdev": eve.smoothing_stdev,
-        "cdf_error_bound": kappa,
+        "ks_error_bound": kappa,
     }
     text = json.dumps(report, indent=2)
     if args.out:

@@ -3,9 +3,10 @@
 Covers the two estimation rounds of the key-generation protocol: moment
 estimates with Gaussian-approximation confidence intervals, residual
 extraction, empirical CDFs, the Kolmogorov distribution and its quantile,
-Gaussian smoothing of step CDFs, the composed estimation error bound
-used to pad the security exponent, and the sign-bit marginal that both the
-decoder prior and the code-rate ceiling read off the residual CDF.
+the smoothing decision for the listener's law, the composed estimation
+error bound used to pad the security exponent, and the sign-bit marginal
+that both the decoder prior and the code-rate ceiling read off the
+residual CDF.
 """
 
 from __future__ import annotations
@@ -23,18 +24,15 @@ __all__ = [
     "EstimateBundle",
     "EmpiricalCdf",
     "EveCdf",
-    "SmoothedCdf",
     "estimate_moments",
     "residuals",
     "kolmogorov_cdf",
     "kolmogorov_quantile",
     "gaussian_quantile",
     "two_sided_z",
-    "smooth_cdf",
     "estimate_eve_cdf",
     "ks_distance",
     "ks_error_bound",
-    "cdf_error_bound",
     "gaussian_sup_distance",
     "NORMAL_NODES",
     "NORMAL_WEIGHTS",
@@ -72,23 +70,6 @@ class EmpiricalCdf:
         """Left limit F(x-0); differs from F(x) exactly at jump points."""
         arr = np.asarray(self.points)
         return np.searchsorted(arr, x, side="left") / len(self.points)
-
-
-@dataclass(frozen=True)
-class SmoothedCdf:
-    """Gaussian-kernel smoothing of a step CDF; exact mixture evaluation."""
-
-    base: EmpiricalCdf
-    stdev: float
-
-    def __call__(self, x):
-        pts = np.asarray(self.base.points)
-        x = np.asarray(x, dtype=float)
-        out = ndtr((x[..., None] - pts) / self.stdev).mean(axis=-1)
-        return out if out.shape else float(out)
-
-    def eval_left(self, x):
-        return self(x)  # continuous
 
 
 @dataclass(frozen=True)
@@ -139,21 +120,16 @@ class EstimateBundle:
 
 @dataclass(frozen=True)
 class EveCdf:
-    """Estimated CDF of Eve's condensed conditioning value.
+    """Smoothing decision for the estimate of Eve's conditioning CDF.
 
     When the covariance signal exceeds Bob's own detector noise the residual
-    CDF is smoothed by the excess stdev; otherwise the raw step CDF is used
-    together with the stronger reduction of Eve's knowledge.
+    law is smoothed by a Gaussian kernel of the excess stdev; otherwise the
+    raw residual law is used together with the stronger reduction of Eve's
+    knowledge. The smoothed law itself is secbounds.GaussianMixture.
     """
 
-    base: EmpiricalCdf
     smoothing_stdev: float
     smoothed: bool
-
-    def cdf(self):
-        if self.smoothed:
-            return SmoothedCdf(self.base, self.smoothing_stdev)
-        return self.base
 
 
 def _sample_pairs(samples) -> np.ndarray:
@@ -268,14 +244,8 @@ def two_sided_z(epsilon: float) -> float:
     return float(ndtri(1.0 - epsilon / 2.0))
 
 
-def smooth_cdf(ecdf: EmpiricalCdf, stdev: float) -> SmoothedCdf:
-    if not (stdev > 0):
-        raise ValueError("smoothing stdev must be positive")
-    return SmoothedCdf(ecdf, float(stdev))
-
-
 def estimate_eve_cdf(bundle: EstimateBundle, params) -> EveCdf:
-    """Pick the estimate of Eve's conditioning CDF and its smoothing width.
+    """Decide whether Eve's conditioning CDF is smoothed, and by how much.
 
     The covariance signal projected onto Eve's side must strictly exceed
     Bob's detector variance for smoothing to apply; at or below the
@@ -285,10 +255,9 @@ def estimate_eve_cdf(bundle: EstimateBundle, params) -> EveCdf:
     if not bundle.complete:
         raise ValueError("bundle has no residuals; run the second estimation round")
     excess, _ = listener_geometry(params, bundle.c_hat**2)
-    base = EmpiricalCdf(points=bundle.residuals)
     if excess > 0:
-        return EveCdf(base=base, smoothing_stdev=math.sqrt(excess), smoothed=True)
-    return EveCdf(base=base, smoothing_stdev=0.0, smoothed=False)
+        return EveCdf(smoothing_stdev=math.sqrt(excess), smoothed=True)
+    return EveCdf(smoothing_stdev=0.0, smoothed=False)
 
 
 def ks_distance(cdf, ecdf: EmpiricalCdf) -> float:
@@ -316,26 +285,18 @@ def ks_error_bound(bundle: EstimateBundle, epsilon: float) -> float:
 
     First term: confidence radius of the covariance estimate propagated
     through the steepest slope of a Gaussian CDF. Second term: sup-distance
-    quantile of the residual empirical CDF. Accuracy is documented for
-    sample counts of 10^4 and above.
+    quantile of the residual empirical CDF over its sample count, which is
+    the moment count l for a bundle without residuals (a bundle of
+    closed-form expectations). Accuracy is documented for sample counts of
+    10^4 and above.
     """
     if bundle.c_hat == 0:
         raise ValueError("no correlation signal: covariance estimate is zero")
     l_res = len(bundle.residuals) if bundle.complete else bundle.l
-    return cdf_error_bound(bundle.v_ab_hat, bundle.c_hat, bundle.l, l_res, epsilon)
-
-
-def cdf_error_bound(v_ab: float, c: float, l_mom: int, l_res: int, epsilon: float) -> float:
-    """The two terms of ks_error_bound, from raw values.
-
-    v_ab is the product second moment, c the covariance, and l_mom and
-    l_res the moment and residual sample counts; callers holding
-    closed-form expectations in place of a bundle pass them here.
-    """
     first = (
-        math.sqrt(v_ab)
+        math.sqrt(bundle.v_ab_hat)
         * two_sided_z(epsilon)
-        / (math.sqrt(2.0 * math.pi * math.e) * abs(c) * math.sqrt(l_mom))
+        / (math.sqrt(2.0 * math.pi * math.e) * abs(bundle.c_hat) * math.sqrt(bundle.l))
     )
     second = kolmogorov_quantile(1.0 - epsilon) / math.sqrt(l_res)
     return first + second

@@ -9,7 +9,6 @@ conventions are part of the wire format and must not change.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,7 +9,6 @@ the Transcript, which is sufficient for Alice to replay her side bit for bit.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass, field
 
@@ -288,7 +287,7 @@ def run_protocol(
             m1 = sacrifice_length(phi, config.n, config.security_target_log2)
         except ValueError as exc:
             return _abort(str(exc), mutual_info_estimate=mi_estimate)
-    if dim_total - m1 - config.m2 < 0:
+    if dim_total - m1 - config.m2 <= 0:
         return _abort(
             f"no key left: sacrifice {m1} plus tag {config.m2} "
             f"exceeds code dimension {dim_total}",
@@ -397,8 +396,8 @@ def replay_alice(
             f"transcript carries {len(transcript.coset_hex)} coset words "
             f"for {num_blocks} blocks"
         )
-    if transcript.m1 + transcript.m2 > num_blocks * code.dim:
-        raise ValueError("transcript sacrifice plus tag exceeds the code dimension")
+    if transcript.m1 + transcript.m2 >= num_blocks * code.dim:
+        raise ValueError("transcript sacrifice plus tag leaves no key in the code dimension")
 
     perm = np.random.default_rng(transcript.sampling_seed).permutation(total)
     distill = perm[2 * l :]

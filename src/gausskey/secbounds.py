@@ -26,9 +26,7 @@ from .estimation import (
     EstimateBundle,
     EveCdf,
     bit_zero_probabilities,
-    cdf_error_bound,
     ks_error_bound,
-    two_sided_z,
 )
 from .gaussmodel import listener_geometry
 
@@ -206,58 +204,60 @@ class ExponentWithPadding:
         return val
 
 
-def build_certified_exponent(
-    bundle: EstimateBundle, eve: EveCdf, params, epsilon: float
+def _padded_exponent(
+    bundle: EstimateBundle, law, smoothed: bool, params, epsilon: float
 ) -> ExponentWithPadding:
-    """Padded exponent from live estimates, conservative against estimation error.
+    """Padded exponent of Eve's law, conservative against estimation error.
 
     The covariance magnitude is shrunk by its confidence radius before it
     enters the conditional variance (smaller variance never understates the
     exponent), and the CDF estimation error bound is added inside the
-    exponential.
+    exponential. A smoothed law conditions on Eve's condensed view.
     """
-    if not bundle.complete:
-        raise ValueError("bundle has no residuals")
     uc = bundle.underline_c(epsilon)
     if uc <= 0:
         raise ValueError("insufficient correlation for certification")
     pad = ks_error_bound(bundle, epsilon)
+    v = listener_geometry(params, uc * uc)[1] if smoothed else uc * uc
+    return ExponentWithPadding(law, v, pad)
+
+
+def build_certified_exponent(
+    bundle: EstimateBundle, eve: EveCdf, params, epsilon: float
+) -> ExponentWithPadding:
+    """Padded exponent from live estimates.
+
+    Eve's law is the residual sample, convolved with the smoothing kernel
+    when eve.smoothed.
+    """
+    if not bundle.complete:
+        raise ValueError("bundle has no residuals")
     if eve.smoothed:
-        _, v = listener_geometry(params, uc * uc)
-        dist = GaussianMixture(points=bundle.residuals, stdev=eve.smoothing_stdev)
+        law = GaussianMixture(points=bundle.residuals, stdev=eve.smoothing_stdev)
     else:
-        v = uc * uc
-        dist = PointMasses(points=bundle.residuals)
-    return ExponentWithPadding(dist, v, pad)
+        law = PointMasses(points=bundle.residuals)
+    return _padded_exponent(bundle, law, eve.smoothed, params, epsilon)
 
 
 def reference_exponent_evaluator(
     params, injected_variance: float, l: int, epsilon: float
 ) -> ExponentWithPadding:
-    """Padded exponent with estimates replaced by their Gaussian expectations.
+    """The certified build on the closed-form expectations of its estimates.
 
-    Reproduces the reference bound curves without simulation: the covariance
-    estimate becomes the true gain, the product second moment its closed
-    form, and the residual distribution its Gaussian limit.
+    Reproduces the reference bound curves without simulation. The bundle
+    holds no residual sample, so the CDF error term counts l; the residual
+    law is its Gaussian limit, widened by the smoothing variance when there
+    is one. Only the gain's magnitude is certified, so either sign works.
     """
     c = params.bob_gain
-    if c <= 0:
-        raise ValueError("reference evaluator needs a positive gain")
     v_b = c * c + injected_variance + params.bob_noise**2
-    v_ab = 2.0 * c * c + v_b
-    uc = c - math.sqrt(v_ab) * two_sided_z(epsilon) / math.sqrt(l)
-    if uc <= 0:
-        raise ValueError("insufficient correlation for certification")
-    pad = cdf_error_bound(v_ab, c, l, l, epsilon)
-    residual_var = injected_variance + params.bob_noise**2
+    expected = EstimateBundle(
+        e_hat=params.bob_offset, v_hat=v_b, c_hat=c, v_ab_hat=2.0 * c * c + v_b,
+        w_hat=2.0 * v_b * v_b, l=l, epsilon=epsilon,
+    )
     excess, _ = listener_geometry(params, c * c)
-    if excess > 0:
-        _, v = listener_geometry(params, uc * uc)
-        dist = AnalyticGaussian(residual_var + excess)
-    else:
-        v = uc * uc
-        dist = AnalyticGaussian(residual_var)
-    return ExponentWithPadding(dist, v, pad)
+    law = AnalyticGaussian(injected_variance + params.bob_noise**2 + max(excess, 0.0))
+    return _padded_exponent(expected, law, excess > 0, params, epsilon)
 
 
 def _brent_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:

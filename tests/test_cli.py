@@ -272,6 +272,14 @@ def test_bound_curve_shape_and_argmin(tmp_path, small_code_path, capsys):
     argmin_bound = float(comment.split("log2_bound=")[1].split()[0])
     assert argmin_bound <= vals[:, 1].min() + 1e-9
     assert "min log2 bound" in capsys.readouterr().err
+    # only the gain's magnitude is certified: a negative a_B gives the same curve
+    channel = dict(scenario_dict(small_code_path)["channel"], a_B=-2.0)
+    flipped = write_scenario(tmp_path, small_code_path, name="flipped.json",
+                             channel=channel)
+    out_flipped = tmp_path / "bound_flipped.csv"
+    assert main(["bound-curve", "--scenario", flipped, "--s-min", "1e-6",
+                 "--s-max", "0.4", "--points", "60", "--out", str(out_flipped)]) == 0
+    assert out_flipped.read_bytes() == out.read_bytes()
 
 
 def test_bound_curve_rejects_bad_grid(tmp_path, small_code_path, capsys):
@@ -325,7 +333,7 @@ def test_estimate_recovers_reference_geometry(tmp_path, capsys):
     assert report["smoothed"] is True
     assert report["smoothing_stdev"] == pytest.approx(math.sqrt(1.0 / 3.0),
                                                       abs=0.02)
-    assert report["cdf_error_bound"] > 0
+    assert report["ks_error_bound"] > 0
 
 
 def test_estimate_writes_file_when_asked(tmp_path):
@@ -357,7 +365,7 @@ def test_estimate_constant_detector_output(tmp_path, capsys):
     assert report["c_hat"] == 0.0
     assert report["smoothed"] is False
     assert report["smoothing_stdev"] == 0.0
-    assert report["cdf_error_bound"] is None
+    assert report["ks_error_bound"] is None
 
 
 def test_estimate_rejects_bad_data(tmp_path, capsys):

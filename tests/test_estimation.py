@@ -7,7 +7,6 @@ from scipy.special import ndtr
 from gausskey.estimation import (
     EmpiricalCdf,
     EstimateBundle,
-    SmoothedCdf,
     estimate_eve_cdf,
     estimate_moments,
     gaussian_quantile,
@@ -17,7 +16,6 @@ from gausskey.estimation import (
     ks_distance,
     ks_error_bound,
     residuals,
-    smooth_cdf,
     two_sided_z,
 )
 from gausskey.gaussmodel import ChannelParams, NoiseSpec, sample_rounds
@@ -164,28 +162,6 @@ def test_empirical_cdf_step_semantics():
     assert f(5.0) == 1.0
 
 
-def test_smooth_cdf_examples():
-    one = smooth_cdf(EmpiricalCdf(points=(0.0,)), 2.0)
-    xs = np.linspace(-5, 5, 41)
-    assert np.allclose(one(xs), ndtr(xs / 2.0))
-    two = smooth_cdf(EmpiricalCdf(points=(-1.0, 1.0)), 1.0)
-    assert two(0.0) == pytest.approx(0.5)
-    shifted = smooth_cdf(EmpiricalCdf(points=(0.0, 2.0)), 1.0)
-    assert shifted(1.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        smooth_cdf(EmpiricalCdf(points=(0.0,)), 0.0)
-
-
-def test_smooth_cdf_is_a_valid_cdf():
-    rng = np.random.default_rng(11)
-    ecdf = EmpiricalCdf(points=tuple(np.sort(rng.standard_normal(300))))
-    sm = smooth_cdf(ecdf, 0.3)
-    grid = np.linspace(-12.0, 12.0, 10_000)
-    vals = np.asarray(sm(grid))
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert vals[0] < 1e-9 and vals[-1] > 1.0 - 1e-9
-
-
 def test_branch_selection():
     params = ChannelParams(
         bob_gain=math.sqrt(2.0), bob_noise=1.0, bob_offset=0.0,
@@ -196,7 +172,6 @@ def test_branch_selection():
     # c^2 * 2/3 = 4/3 beats detector variance 1: smoothing applies
     assert eve.smoothed
     assert eve.smoothing_stdev == pytest.approx(math.sqrt(1.0 / 3.0))
-    assert isinstance(eve.cdf(), SmoothedCdf)
 
     deaf = ChannelParams(
         bob_gain=math.sqrt(2.0), bob_noise=10.0, bob_offset=0.0,
@@ -220,11 +195,9 @@ def test_branch_selection():
 # ------------------------------------------------------------- sup distance
 
 def test_ks_distance_examples():
-    step = EmpiricalCdf(points=(0.0,))
-    gauss = smooth_cdf(step, 1.0)  # plain standard normal CDF
-    assert ks_distance(gauss, EmpiricalCdf(points=(0.0,))) == pytest.approx(0.5)
+    assert ks_distance(ndtr, EmpiricalCdf(points=(0.0,))) == pytest.approx(0.5)
     two = EmpiricalCdf(points=(-1.0, 1.0))
-    assert ks_distance(gauss, two) == pytest.approx(0.5 - ndtr(-1.0))
+    assert ks_distance(ndtr, two) == pytest.approx(0.5 - ndtr(-1.0))
     # a step CDF against itself
     assert ks_distance(two, two) == 0.0
 
@@ -238,11 +211,9 @@ def test_ks_coverage_at_recommended_sample_size():
     rng = np.random.default_rng(2024)
     hits = 0
     trials = 2000
-    zero = EmpiricalCdf(points=(0.0,))
-    gauss = smooth_cdf(zero, 1.0)
     for _ in range(trials):
         pts = np.sort(rng.standard_normal(l))
-        d = ks_distance(gauss, EmpiricalCdf(points=tuple(pts)))
+        d = ks_distance(ndtr, EmpiricalCdf(points=tuple(pts)))
         if d <= bound:
             hits += 1
     assert hits / trials >= 1.0 - eps - 0.005
@@ -252,6 +223,10 @@ def test_convolution_is_a_sup_contraction():
     # smoothing two step CDFs cannot increase their sup distance
     rng = np.random.default_rng(8)
     grid = np.linspace(-8.0, 8.0, 4001)
+
+    def mixture_cdf(f, stdev):  # step CDF convolved with N(0, stdev^2)
+        return ndtr((grid[:, None] - np.asarray(f.points)) / stdev).mean(axis=1)
+
     for _ in range(20):
         f2 = EmpiricalCdf(points=tuple(np.sort(rng.standard_normal(40))))
         f3 = EmpiricalCdf(points=tuple(np.sort(rng.standard_normal(60) * 1.5)))
@@ -262,8 +237,7 @@ def test_convolution_is_a_sup_contraction():
         for p in (np.asarray(f2.points), np.asarray(f3.points)):
             raw = max(raw, float(np.max(np.abs(f2.eval_left(p) - f3.eval_left(p)))))
         stdev = float(rng.uniform(0.1, 2.0))
-        s2, s3 = smooth_cdf(f2, stdev), smooth_cdf(f3, stdev)
-        smoothed = float(np.max(np.abs(s2(grid) - s3(grid))))
+        smoothed = float(np.max(np.abs(mixture_cdf(f2, stdev) - mixture_cdf(f3, stdev))))
         assert smoothed <= raw + 1e-9
 
 

@@ -123,12 +123,11 @@ def test_replay_rejects_inconsistent_transcripts(weak_eve_params, weak_eve_noise
         with pytest.raises(ValueError, match="coset words"):
             replay_alice(alice, bad, small_code)
     budget = blocks * small_code.dim
-    # spending exactly the whole code dimension leaves an empty key
-    edge = dataclasses.replace(t, m1=budget - t.m2)
-    assert replay_alice(alice, edge, small_code).length == 0
-    for m1, m2 in ((budget - t.m2 + 1, t.m2), (0, budget + 1)):
+    # spending exactly the whole code dimension leaves no key: rejected too
+    for m1, m2 in ((budget - t.m2, t.m2), (budget - t.m2 + 1, t.m2),
+                   (budget, 0), (0, budget + 1)):
         bad = dataclasses.replace(t, m1=m1, m2=m2)
-        with pytest.raises(ValueError, match="exceeds the code dimension"):
+        with pytest.raises(ValueError, match="leaves no key"):
             replay_alice(alice, bad, small_code)
 
 
@@ -163,11 +162,14 @@ def test_abort_when_target_unachievable(weak_eve_params, weak_eve_noise, small_c
 
 
 def test_abort_when_no_key_left(weak_eve_params, weak_eve_noise, small_code):
+    # a budget overspent by one bit, and budgets spent exactly with and
+    # without a tag: a zero-bit key aborts as well
     dim_total = (4096 // small_code.n_code) * small_code.dim
-    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 10,
-                   m1_override=dim_total - 64 + 1)
-    assert out.status == STATUS_ABORTED
-    assert "no key left" in out.abort_reason
+    for m1, m2 in ((dim_total - 64 + 1, 64), (dim_total - 64, 64), (dim_total, 0)):
+        out = run_demo(weak_eve_params, weak_eve_noise, small_code, 10,
+                       m1_override=m1, m2=m2)
+        assert out.status == STATUS_ABORTED
+        assert "no key left" in out.abort_reason
 
 
 def test_abort_on_block_mismatch(weak_eve_params, weak_eve_noise, small_code):

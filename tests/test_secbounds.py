@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import gausskey
@@ -15,7 +17,9 @@ from gausskey.estimation import (
     EmpiricalCdf,
     EstimateBundle,
     estimate_eve_cdf,
+    kolmogorov_quantile,
     ks_error_bound,
+    two_sided_z,
 )
 from gausskey.gaussmodel import ChannelParams
 from gausskey.secbounds import (
@@ -348,6 +352,8 @@ def test_build_certified_exponent_smoothed_branch_variance():
     uc = bundle.underline_c(EPS)
     # projected eve fraction is 1/3 at this geometry; detector noise re-enters
     assert ev.v == pytest.approx(uc * uc / 3.0 + 1.0, rel=1e-12)
+    g2, s2 = params.eve_gain**2, params.eve_noise**2
+    assert ev.v == uc * uc * s2 / (g2 + s2) + params.bob_noise**2
     assert ev.padding > 0
 
 
@@ -362,7 +368,7 @@ def test_build_certified_exponent_raw_branch_variance():
     assert not eve.smoothed
     ev = build_certified_exponent(bundle, eve, params, EPS)
     uc = bundle.underline_c(EPS)
-    assert ev.v == pytest.approx(uc * uc, rel=1e-12)
+    assert ev.v == uc * uc
 
 
 def test_build_certified_exponent_rejects_weak_correlation():
@@ -373,6 +379,42 @@ def test_build_certified_exponent_rejects_weak_correlation():
     eve = estimate_eve_cdf(bundle, params)
     with pytest.raises(ValueError, match="insufficient correlation"):
         build_certified_exponent(bundle, eve, params, EPS)
+
+
+@pytest.mark.parametrize("geometry, injected, smoothed", [
+    ("reference_params", 0.2, True), ("weak_eve_params", 0.1, False),
+])
+@pytest.mark.parametrize("l", [10_000, 500_000])
+def test_reference_evaluator_matches_closed_forms(geometry, injected, smoothed, l, request):
+    # the expectation-bundle build against the closed forms written out:
+    # shrunk covariance, both padding terms, and the smoothing branch
+    params = request.getfixturevalue(geometry)
+    c, bn2 = params.bob_gain, params.bob_noise**2
+    g2, s2 = params.eve_gain**2, params.eve_noise**2
+    v_ab = 2.0 * c * c + (c * c + injected + bn2)
+    z = two_sided_z(EPS)
+    uc = c - math.sqrt(v_ab) * z / math.sqrt(l)
+    pad = (
+        math.sqrt(v_ab) * z / (math.sqrt(2.0 * math.pi * math.e) * abs(c) * math.sqrt(l))
+        + kolmogorov_quantile(1.0 - EPS) / math.sqrt(l)
+    )
+    excess = c * c * g2 / (g2 + s2) - bn2
+    assert (excess > 0) == smoothed
+    if excess > 0:
+        v, law_var = uc * uc * s2 / (g2 + s2) + bn2, injected + bn2 + excess
+    else:
+        v, law_var = uc * uc, injected + bn2
+    p = ndtr(NORMAL_NODES * math.sqrt(law_var) / math.sqrt(v))
+    for gain in (c, -c):  # only the gain's magnitude is certified
+        ev = reference_exponent_evaluator(
+            dataclasses.replace(params, bob_gain=gain), injected, l=l, epsilon=EPS
+        )
+        assert ev.v == v and ev.padding == pad
+        assert ev._p.tobytes() == p.tobytes()
+    with pytest.raises(ValueError, match="insufficient correlation"):
+        reference_exponent_evaluator(
+            dataclasses.replace(params, bob_gain=0.0), injected, l=l, epsilon=EPS
+        )
 
 
 def test_reference_evaluator_tracks_certified_build():

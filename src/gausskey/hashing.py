@@ -2,9 +2,10 @@
 
 Toeplitz matrices over GF(2) form a universal family: any fixed pair of
 distinct inputs collides with probability at most 2^-output_length over the
-seed. Inputs are processed as packed 64-bit words (little-endian bit order
-within a word); hex serialization is most-significant-bit first. Both
-conventions are part of the wire format and must not change.
+seed. Bit strings are stored as packed 64-bit words (little-endian bit
+order within a word); hex serialization is most-significant-bit first. Both
+conventions are part of the wire format and must not change. The Toeplitz
+product is computed as an exact integer convolution by one FFT product.
 """
 
 from __future__ import annotations
@@ -122,28 +123,29 @@ def toeplitz_hash(seed: ToeplitzSeed, x: BitString) -> BitString:
     """Matrix-vector product over GF(2) with the Toeplitz matrix of the seed.
 
     Row i of the matrix reads the reversed seed starting at offset
-    output_len - 1 - i, so each row is a word-aligned window of one of 64
-    preshifted copies; the product is AND + popcount parity per window.
+    output_len - 1 - i, so output bit i is the parity of the integer
+    convolution (s * x)[input_len - 1 + i] of the 0/1 seed s and input x.
+    One float64 rfft/irfft product of a power-of-two length
+    N >= input_len + output_len - 1 computes it: no wanted lag aliases.
     Linear: hash(x ^ y) = hash(x) ^ hash(y).
+
+    Every wanted value is an integer count <= input_len. The float64 FFT
+    convolution errs by at most order u * log2(N) * ||s||_2 * ||x||_2 with
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 24.1): about 1e-9 at (10^6, 4096), against the 0.5 that
+    rounding tolerates. A value 0.25 or more from an integer raises.
     """
     n1, n2 = seed.input_len, seed.output_len
     if x.length != n1:
         raise ValueError(f"input must have {n1} bits, got {x.length}")
-    rev = seed.bits.to_bits()[::-1]
-    xw = x.words
-    wx = xw.size
-    out = np.zeros(n2, dtype=np.uint8)
-    for shift in range(min(64, n2)):
-        offsets = np.arange(shift, n2, 64)
-        shifted = _pack(rev[shift:])
-        word_starts = (offsets - shift) // 64
-        need = int(word_starts.max()) + wx
-        if shifted.size < need:
-            shifted = np.concatenate([shifted, np.zeros(need - shifted.size, dtype="<u8")])
-        windows = np.lib.stride_tricks.sliding_window_view(shifted, wx)[word_starts]
-        ones = np.bitwise_count(windows & xw[None, :]).sum(axis=1, dtype=np.int64)
-        out[n2 - 1 - offsets] = (ones & 1).astype(np.uint8)
-    return BitString.from_bits(out)
+    size = 1 << (n1 + n2 - 2).bit_length()
+    spectrum = np.fft.rfft(seed.bits.to_bits().astype(np.float64), size)
+    spectrum *= np.fft.rfft(x.to_bits().astype(np.float64), size)
+    counts = np.fft.irfft(spectrum, size)[n1 - 1 : n1 - 1 + n2]
+    rounded = np.rint(counts)
+    if np.max(np.abs(counts - rounded)) >= 0.25:
+        raise ArithmeticError("FFT convolution too inexact to round to counts")
+    return BitString.from_bits((rounded.astype(np.int64) & 1).astype(np.uint8))
 
 
 def _gf2_rank(rows: list[int]) -> int:

@@ -153,6 +153,11 @@ class Transcript:
         words = transcript.coset_hex + (transcript.bob_tag_hex, transcript.alice_tag_hex)
         if not all(set(w) <= _HEX_DIGITS for w in words):
             raise ValueError("transcript coset words and tags must be hex strings")
+        tag_digits = (transcript.m2 + 3) // 4
+        if {len(transcript.bob_tag_hex), len(transcript.alice_tag_hex)} != {tag_digits}:
+            raise ValueError(f"transcript tags must have (m2 + 3) // 4 = {tag_digits} hex digits")
+        if len({len(w) for w in transcript.coset_hex}) > 1:
+            raise ValueError("transcript coset words must all have one length")
         return transcript
 
 
@@ -288,9 +293,10 @@ def run_protocol(
         except ValueError as exc:
             return _abort(str(exc), mutual_info_estimate=mi_estimate)
     if dim_total - m1 - config.m2 <= 0:
+        relation = "equals" if m1 + config.m2 == dim_total else "exceeds"
         return _abort(
             f"no key left: sacrifice {m1} plus tag {config.m2} "
-            f"exceeds code dimension {dim_total}",
+            f"{relation} code dimension {dim_total}",
             mutual_info_estimate=mi_estimate,
         )
 

@@ -66,30 +66,28 @@ class LinearCode:
         self._elaborate()
 
     def _elaborate(self) -> None:
+        # one augmented array [rows | transform]: the pivot row is zero left
+        # of its pivot column, so each XOR starts at the pivot's word
         r, w = self._rows.shape
-        work = self._rows.copy()
-        aug_words = (r + 63) // 64
-        transform = np.zeros((r, aug_words), dtype=np.uint64)
+        work = np.zeros((r, w + (r + 63) // 64), dtype=np.uint64)
+        work[:, :w] = self._rows
         idx = np.arange(r)
-        transform[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+        work[idx, w + (idx >> 6)] = np.uint64(1) << (idx & 63).astype(np.uint64)
         rank = 0
         pivots = []
         one = np.uint64(1)
         for col in range(self.n_code):
             wi, bi = col >> 6, np.uint64(col & 63)
-            column = (work[rank:, wi] >> bi) & one
-            hit = np.nonzero(column)[0]
+            hit = np.flatnonzero((work[rank:, wi] >> bi) & one)
             if hit.size == 0:
                 continue
             piv = rank + int(hit[0])
             if piv != rank:
                 work[[rank, piv]] = work[[piv, rank]]
-                transform[[rank, piv]] = transform[[piv, rank]]
-            sel = ((work[:, wi] >> bi) & one).astype(bool)
-            sel[rank] = False
-            if sel.any():
-                work[sel] ^= work[rank]
-                transform[sel] ^= transform[rank]
+            sel = np.flatnonzero((work[:, wi] >> bi) & one)
+            sel = sel[sel != rank]
+            if sel.size:
+                work[sel, wi:] ^= work[rank, wi:]
             pivots.append(col)
             rank += 1
             if rank == r:
@@ -97,7 +95,7 @@ class LinearCode:
         self.rank = rank
         self.dim = self.n_code - rank
         self._pivots = np.asarray(pivots, dtype=np.int64)
-        self._transform = transform
+        self._transform = np.ascontiguousarray(work[:, w:])
 
     @property
     def rate(self) -> float:

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausskey.hashing import (
     BitString,
@@ -21,6 +23,27 @@ def dense_hash(seed: ToeplitzSeed, x_bits: np.ndarray) -> np.ndarray:
     n1, n2 = seed.input_len, seed.output_len
     rows = np.stack([rev[n2 - 1 - i: n2 - 1 - i + n1] for i in range(n2)])
     return rows.dot(np.asarray(x_bits)) % 2
+
+
+def word_loop_hash(seed: ToeplitzSeed, x: BitString) -> BitString:
+    # independent reference at protocol sizes: each row is a word-aligned
+    # window of one of 64 preshifted copies of the reversed seed, and the
+    # product is AND + popcount parity per window
+    n1, n2 = seed.input_len, seed.output_len
+    rev = seed.bits.to_bits()[::-1]
+    xw = x.words
+    out = np.zeros(n2, dtype=np.uint8)
+    for shift in range(min(64, n2)):
+        offsets = np.arange(shift, n2, 64)
+        shifted = BitString.from_bits(rev[shift:]).words
+        word_starts = (offsets - shift) // 64
+        need = int(word_starts.max()) + xw.size
+        if shifted.size < need:
+            shifted = np.concatenate([shifted, np.zeros(need - shifted.size, dtype="<u8")])
+        windows = np.lib.stride_tricks.sliding_window_view(shifted, xw.size)[word_starts]
+        ones = np.bitwise_count(windows & xw[None, :]).sum(axis=1, dtype=np.int64)
+        out[n2 - 1 - offsets] = (ones & 1).astype(np.uint8)
+    return BitString.from_bits(out)
 
 
 # ------------------------------------------------------------------ bitstring
@@ -104,6 +127,49 @@ def test_matches_dense_reference_across_shapes():
         got = toeplitz_hash(seed, x)
         assert got.length == n2
         assert np.array_equal(got.to_bits(), dense_hash(seed, x.to_bits()))
+
+
+_shapes = st.integers(min_value=1, max_value=600).flatmap(
+    lambda n1: st.tuples(st.just(n1), st.integers(min_value=1, max_value=n1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_shapes, rng_seed=st.integers(min_value=0, max_value=2**32))
+@example(shape=(300, 213), rng_seed=0)  # n1 + n2 - 1 = 512, a power of two
+@example(shape=(300, 214), rng_seed=0)  # one above: the transform doubles
+@example(shape=(1, 1), rng_seed=0)
+def test_matches_dense_reference_property(shape, rng_seed):
+    n1, n2 = shape
+    rng = np.random.default_rng(rng_seed)
+    seed = ToeplitzSeed.random(rng, n1, n2)
+    x = BitString.random(rng, n1)
+    got = toeplitz_hash(seed, x)
+    assert got.length == n2
+    assert np.array_equal(got.to_bits(), dense_hash(seed, x.to_bits()))
+
+
+@pytest.mark.parametrize("n1,n2", [
+    (65536, 23806),  # weak-eve privacy amplification
+    (23806, 64),  # its verification tag
+    (4096, 294),  # cli-batch
+    (294, 64),
+    (1_000_000, 4096),
+])
+def test_matches_word_loop_at_protocol_shapes(n1, n2):
+    rng = np.random.default_rng(n1 + n2)
+    seed = ToeplitzSeed.random(rng, n1, n2)
+    x = BitString.random(rng, n1)
+    assert toeplitz_hash(seed, x) == word_loop_hash(seed, x)
+
+
+def test_inexact_transform_raises(monkeypatch):
+    rng = np.random.default_rng(10)
+    seed = ToeplitzSeed.random(rng, 300, 40)
+    x = BitString.random(rng, 300)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        toeplitz_hash(seed, x)
 
 
 def test_linearity_exhaustive_small():

@@ -165,11 +165,16 @@ def test_abort_when_no_key_left(weak_eve_params, weak_eve_noise, small_code):
     # a budget overspent by one bit, and budgets spent exactly with and
     # without a tag: a zero-bit key aborts as well
     dim_total = (4096 // small_code.n_code) * small_code.dim
-    for m1, m2 in ((dim_total - 64 + 1, 64), (dim_total - 64, 64), (dim_total, 0)):
+    for m1, m2, relation in ((dim_total - 64 + 1, 64, "exceeds"),
+                             (dim_total - 64, 64, "equals"),
+                             (dim_total, 0, "equals")):
         out = run_demo(weak_eve_params, weak_eve_noise, small_code, 10,
                        m1_override=m1, m2=m2)
         assert out.status == STATUS_ABORTED
-        assert "no key left" in out.abort_reason
+        assert out.abort_reason == (
+            f"no key left: sacrifice {m1} plus tag {m2} "
+            f"{relation} code dimension {dim_total}"
+        )
 
 
 def test_abort_on_block_mismatch(weak_eve_params, weak_eve_noise, small_code):
@@ -322,6 +327,10 @@ _SMALL_TRANSCRIPT = Transcript(
     ("coset_hex", ["00ff", "0g1f"]),
     ("coset_hex", ["00 f"]),
     ("bob_tag_hex", "xyz"),
+    ("bob_tag_hex", "c0"),
+    ("alice_tag_hex", ""),
+    ("m2", 5),
+    ("coset_hex", ["0f", "a3f"]),
 ])
 def test_transcript_json_rejects_malformed_fields(field, value):
     data = _SMALL_TRANSCRIPT.to_json_dict()
@@ -333,7 +342,10 @@ def test_transcript_json_rejects_malformed_fields(field, value):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _seed = st.integers(min_value=0, max_value=2**63 - 1)
-_hex = st.text(alphabet="0123456789abcdef", max_size=40)
+
+
+def _hex_digits(size):
+    return st.text(alphabet="0123456789abcdef", min_size=size, max_size=size)
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,18 +353,23 @@ _hex = st.text(alphabet="0123456789abcdef", max_size=40)
     seeds=st.tuples(_seed, _seed, _seed),
     moments=st.tuples(_finite, _finite, _finite, _finite),
     residuals=st.lists(_finite, min_size=1, max_size=50).map(sorted),
-    coset_hex=st.lists(_hex, max_size=8),
+    coset_hex=st.integers(min_value=0, max_value=40).flatmap(
+        lambda size: st.lists(_hex_digits(size), max_size=8)),
     m1=st.integers(min_value=0, max_value=2**20),
-    m2=st.integers(min_value=0, max_value=2**10),
-    tags=st.tuples(_hex, _hex),
+    tags=st.integers(min_value=0, max_value=2**10).flatmap(
+        lambda m2: st.tuples(st.just(m2), _hex_digits((m2 + 3) // 4),
+                             _hex_digits((m2 + 3) // 4))),
 )
 def test_transcript_json_round_trip_property(seeds, moments, residuals,
-                                             coset_hex, m1, m2, tags):
+                                             coset_hex, m1, tags):
+    # valid transcripts only: tags carry (m2 + 3) // 4 digits and every
+    # coset word has one common length
+    m2 = tags[0]
     t = Transcript(
         sampling_seed=seeds[0], e_hat=moments[0], v_hat=moments[1],
         c_hat=moments[2], v_ab_hat=moments[3], residuals=tuple(residuals),
         coset_hex=tuple(coset_hex), m1=m1, m2=m2, pa_seed=seeds[1],
-        verify_seed=seeds[2], bob_tag_hex=tags[0], alice_tag_hex=tags[1],
+        verify_seed=seeds[2], bob_tag_hex=tags[1], alice_tag_hex=tags[2],
     )
     text = json.dumps(t.to_json_dict())
     back = Transcript.from_json_dict(json.loads(text))

@@ -133,6 +133,71 @@ def test_gallager_construction():
         gallager_code(30, 3, 4, rng)
 
 
+def _elaborate_column_loop(rows: np.ndarray, n_code: int):
+    # reference elimination: rows and transform as separate arrays, every
+    # selected row XORed across its full width, rows selected by a mask
+    r = rows.shape[0]
+    work = rows.copy()
+    transform = np.zeros((r, (r + 63) // 64), dtype=np.uint64)
+    idx = np.arange(r)
+    transform[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+    rank = 0
+    pivots = []
+    one = np.uint64(1)
+    for col in range(n_code):
+        wi, bi = col >> 6, np.uint64(col & 63)
+        hit = np.nonzero((work[rank:, wi] >> bi) & one)[0]
+        if hit.size == 0:
+            continue
+        piv = rank + int(hit[0])
+        if piv != rank:
+            work[[rank, piv]] = work[[piv, rank]]
+            transform[[rank, piv]] = transform[[piv, rank]]
+        sel = ((work[:, wi] >> bi) & one).astype(bool)
+        sel[rank] = False
+        if sel.any():
+            work[sel] ^= work[rank]
+            transform[sel] ^= transform[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == r:
+            break
+    return np.asarray(pivots, dtype=np.int64), transform
+
+
+def _random_checks(rng, n_code, num_checks, weight):
+    return [sorted(rng.choice(n_code, size=weight, replace=False).tolist())
+            for _ in range(num_checks)]
+
+
+def test_elimination_bytes_match_column_loop(small_code):
+    # coset representatives are wire format, so the pivots and the row
+    # transform must not move by one byte
+    rng = np.random.default_rng(41)
+    repeated = _random_checks(rng, 200, 150, 5)
+    repeated.append(repeated[17])  # a dependent row
+    repeated = [[c for c in cols if c != 130] or [0] for cols in repeated]  # zero column
+    full_rank = [[i, i + 1] for i in range(100)]  # rank == rows: the early break
+    codes = [
+        gallager_code(4096, 4, 8, np.random.default_rng(1)),
+        gallager_code(4096, 3, 4, np.random.default_rng(2)),
+        gallager_code(512, 3, 4, np.random.default_rng(3)),
+        small_code,
+        LinearCode(200, repeated),
+        LinearCode(130, full_rank),
+    ]
+    for code in codes:
+        pivots, transform = _elaborate_column_loop(code._rows, code.n_code)
+        assert code._pivots.dtype == pivots.dtype and code._pivots.tobytes() == pivots.tobytes()
+        assert code._transform.dtype == transform.dtype
+        assert code._transform.shape == transform.shape
+        assert code._transform.flags.c_contiguous
+        assert code._transform.tobytes() == transform.tobytes()
+    assert codes[4].rank < codes[4].num_checks
+    assert not any(130 in cols for cols in codes[4].check_cols)
+    assert codes[5].rank == codes[5].num_checks == 100
+
+
 # --------------------------------------------------------------- soft channel
 
 def test_channel_llr_hand_values():

@@ -332,9 +332,11 @@ def test_exponent_bits_do_not_depend_on_blas_threads():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs a few tenths of a second to import, paid by every
-    # process start and every keygen worker
-    out = _run_python("import sys, gausskey.cli; print('scipy.optimize' in sys.modules)")
-    assert out.strip() == "False"
+    # process start and every keygen worker; hashing uses numpy.fft, so
+    # scipy.fft stays out as well
+    out = _run_python("import sys, gausskey.cli; "
+                      "print('scipy.optimize' in sys.modules, 'scipy.fft' in sys.modules)")
+    assert out.strip() == "False False"
 
 
 # --------------------------------------------------------- certified builder

@@ -51,25 +51,29 @@ NORMAL_WEIGHTS = NORMAL_WEIGHTS / math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Right-continuous step CDF of a sorted sample."""
+    """Right-continuous step CDF of a sorted sample.
+
+    The points are converted once, at construction, to a read-only float64
+    array (`_sorted`) that every evaluation searches.
+    """
 
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.points) == 0:
             raise ValueError("empirical CDF needs at least one point")
-        arr = np.asarray(self.points)
+        arr = np.array(self.points, dtype=np.float64)
         if np.any(np.diff(arr) < 0):
             raise ValueError("points must be sorted ascending")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_sorted", arr)
 
     def __call__(self, x):
-        arr = np.asarray(self.points)
-        return np.searchsorted(arr, x, side="right") / len(self.points)
+        return np.searchsorted(self._sorted, x, side="right") / self._sorted.size
 
     def eval_left(self, x):
         """Left limit F(x-0); differs from F(x) exactly at jump points."""
-        arr = np.asarray(self.points)
-        return np.searchsorted(arr, x, side="left") / len(self.points)
+        return np.searchsorted(self._sorted, x, side="left") / self._sorted.size
 
 
 @dataclass(frozen=True)
@@ -267,8 +271,8 @@ def ks_distance(cdf, ecdf: EmpiricalCdf) -> float:
     left limits there, each side against its own limit. Exact whenever cdf
     is continuous or jumps only where ecdf does.
     """
-    pts = np.asarray(ecdf.points)
-    l = len(pts)
+    pts = ecdf._sorted
+    l = pts.size
     hi = np.searchsorted(pts, pts, side="right") / l
     lo = np.searchsorted(pts, pts, side="left") / l
     f = np.asarray(cdf(pts), dtype=float)

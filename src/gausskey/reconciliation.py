@@ -43,9 +43,14 @@ def _pack_rows(rows: list[list[int]], n: int) -> np.ndarray:
 class LinearCode:
     """Binary linear code given by parity checks, with fixed coset inverses.
 
-    Gaussian elimination runs once at load time, tracking the row transform
-    so that coset representatives are a deterministic function of the
-    syndrome (supported on the pivot columns, lowest columns first).
+    The checks are held as an edge list: `_edges_var` lists each row's
+    columns in row order and `_check_starts` marks where each row begins.
+    A syndrome is the parity of the word's bits over each row's stretch of
+    that list, and belief propagation passes its messages along the same
+    edges. Gaussian elimination runs once at load time on the packed rows,
+    tracking the row transform so that coset representatives are a
+    deterministic function of the syndrome (supported on the pivot columns,
+    lowest columns first).
     """
 
     def __init__(self, n_code: int, check_cols: list[list[int]]):
@@ -54,7 +59,6 @@ class LinearCode:
         self.n_code = n_code
         self.num_checks = len(check_cols)
         self.check_cols = [sorted(set(cols)) for cols in check_cols]
-        self._rows = _pack_rows(self.check_cols, n_code)
         self._edges_check = np.concatenate(
             [np.full(len(cols), i) for i, cols in enumerate(self.check_cols)]
         ).astype(np.int64)
@@ -68,9 +72,10 @@ class LinearCode:
     def _elaborate(self) -> None:
         # one augmented array [rows | transform]: the pivot row is zero left
         # of its pivot column, so each XOR starts at the pivot's word
-        r, w = self._rows.shape
+        rows = _pack_rows(self.check_cols, self.n_code)
+        r, w = rows.shape
         work = np.zeros((r, w + (r + 63) // 64), dtype=np.uint64)
-        work[:, :w] = self._rows
+        work[:, :w] = rows
         idx = np.arange(r)
         work[idx, w + (idx >> 6)] = np.uint64(1) << (idx & 63).astype(np.uint64)
         rank = 0
@@ -104,8 +109,8 @@ class LinearCode:
     def syndrome_of(self, x: BitString) -> BitString:
         if x.length != self.n_code:
             raise ValueError("length mismatch")
-        ones = np.bitwise_count(self._rows & x.words[None, :]).sum(axis=1, dtype=np.int64)
-        return BitString.from_bits((ones & 1).astype(np.uint8))
+        parity = np.bitwise_xor.reduceat(x.to_bits()[self._edges_var], self._check_starts)
+        return BitString.from_bits(parity)
 
     def representative(self, syn: BitString) -> BitString:
         if syn.length != self.num_checks:
@@ -244,11 +249,14 @@ def bp_decode(
     """Sum-product decoding; converged means every parity check passed.
 
     Non-convergence is not an error: downstream verification catches any
-    residual mismatch.
+    residual mismatch. Infinite LLRs saturate at the clamp; NaN raises.
     """
-    llrs = np.clip(np.asarray(llrs, dtype=float), -LLR_CLAMP, LLR_CLAMP)
+    llrs = np.asarray(llrs, dtype=float)
     if llrs.size != code.n_code:
         raise ValueError("llr vector length mismatch")
+    if np.isnan(llrs).any():
+        raise ValueError("llr vector contains NaN")
+    llrs = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
     ce, ve, starts = code._edges_check, code._edges_var, code._check_starts
     msg_vc = llrs[ve]
     hard = (llrs < 0).astype(np.uint8)

@@ -162,6 +162,18 @@ def test_empirical_cdf_step_semantics():
     assert f(5.0) == 1.0
 
 
+def test_empirical_cdf_searches_one_read_only_array():
+    f = EmpiricalCdf(points=(0, 0, 1, 2))  # integer points evaluate as floats
+    assert f._sorted.dtype == np.float64 and not f._sorted.flags.writeable
+    assert f.points == (0, 0, 1, 2)
+    assert repr(f) == "EmpiricalCdf(points=(0, 0, 1, 2))"
+    assert f == EmpiricalCdf(points=(0, 0, 1, 2)) and hash(f) == hash(EmpiricalCdf(points=(0, 0, 1, 2)))
+    assert np.array_equal(f(np.array([0.0, 0.5, 2.0])), [0.5, 0.5, 1.0])
+    assert np.array_equal(f.eval_left(np.array([0.0, 1.0, 3.0])), [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        f._sorted[0] = 5.0
+
+
 def test_branch_selection():
     params = ChannelParams(
         bob_gain=math.sqrt(2.0), bob_noise=1.0, bob_offset=0.0,

@@ -1,18 +1,41 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gausskey.estimation import NORMAL_NODES, NORMAL_WEIGHTS, EmpiricalCdf, EstimateBundle
+from gausskey.estimation import (
+    NORMAL_NODES,
+    NORMAL_WEIGHTS,
+    EmpiricalCdf,
+    EstimateBundle,
+    estimate_moments,
+    residuals,
+)
+from gausskey.gaussmodel import sample_rounds
 from gausskey.hashing import BitString
 from gausskey.reconciliation import (
+    LLR_CLAMP,
     LinearCode,
     SoftChannel,
+    _pack_rows,
     bp_decode,
     gallager_code,
     load_alist,
     reconcile,
 )
+
+
+@lru_cache(maxsize=None)
+def _bench_shaped_codes():
+    # the weak-eve, reference and cli-batch code shapes
+    return (
+        gallager_code(4096, 4, 8, np.random.default_rng(1)),
+        gallager_code(4096, 3, 4, np.random.default_rng(2)),
+        gallager_code(512, 3, 4, np.random.default_rng(3)),
+    )
 
 
 # ------------------------------------------------------------------ code core
@@ -81,9 +104,50 @@ def test_unreachable_syndrome_rejected():
 
 
 def test_duplicate_columns_collapse():
-    # repeated column indices within a row reduce mod 2 at construction
+    # repeated column indices within a row collapse to one at construction
     code = LinearCode(3, [[0, 1, 1, 0, 2]])
     assert code.check_cols == [[0, 1, 2]]
+
+
+def _syndrome_dense(rows: np.ndarray, x: BitString) -> BitString:
+    # reference syndrome: AND every packed row with the word, count the ones
+    ones = np.bitwise_count(rows & x.words[None, :]).sum(axis=1, dtype=np.int64)
+    return BitString.from_bits((ones & 1).astype(np.uint8))
+
+
+@st.composite
+def _codes_and_words(draw):
+    n_code = draw(st.integers(min_value=1, max_value=200))
+    checks = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n_code - 1), min_size=1, max_size=12),
+        min_size=1, max_size=24))
+    bits = draw(st.lists(st.integers(min_value=0, max_value=1),
+                         min_size=n_code, max_size=n_code))
+    return n_code, checks, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_codes_and_words())
+@example(case=(65, [[64, 0, 64], [1, 2, 3, 4, 5, 6, 7, 63], [64]], [1] * 65))
+@example(case=(130, [[129, 3, 3, 3], [0, 64, 128], [5]], [0, 1] * 65))
+@example(case=(64, [[63, 63], [0]], [1] * 64))
+def test_syndrome_matches_dense_product_property(case):
+    # the dense rows are packed from the raw lists, duplicates and all
+    n_code, checks, bits = case
+    code = LinearCode(n_code, checks)
+    word = BitString.from_bits(bits)
+    dense = _syndrome_dense(_pack_rows(checks, n_code), word)
+    assert code.syndrome_of(word) == dense
+
+
+def test_syndrome_matches_dense_product_on_bench_codes():
+    rng = np.random.default_rng(51)
+    for code in _bench_shaped_codes():
+        rows = _pack_rows(code.check_cols, code.n_code)
+        words = [BitString.zeros(code.n_code), BitString.from_bits(np.ones(code.n_code))]
+        words += [BitString.random(rng, code.n_code) for _ in range(8)]
+        for word in words:
+            assert code.syndrome_of(word) == _syndrome_dense(rows, word)
 
 
 # ---------------------------------------------------------------------- alist
@@ -179,15 +243,14 @@ def test_elimination_bytes_match_column_loop(small_code):
     repeated = [[c for c in cols if c != 130] or [0] for cols in repeated]  # zero column
     full_rank = [[i, i + 1] for i in range(100)]  # rank == rows: the early break
     codes = [
-        gallager_code(4096, 4, 8, np.random.default_rng(1)),
-        gallager_code(4096, 3, 4, np.random.default_rng(2)),
-        gallager_code(512, 3, 4, np.random.default_rng(3)),
+        *_bench_shaped_codes(),
         small_code,
         LinearCode(200, repeated),
         LinearCode(130, full_rank),
     ]
     for code in codes:
-        pivots, transform = _elaborate_column_loop(code._rows, code.n_code)
+        pivots, transform = _elaborate_column_loop(
+            _pack_rows(code.check_cols, code.n_code), code.n_code)
         assert code._pivots.dtype == pivots.dtype and code._pivots.tobytes() == pivots.tobytes()
         assert code._transform.dtype == transform.dtype
         assert code._transform.shape == transform.shape
@@ -289,6 +352,97 @@ def test_bp_decode_corrects_sparse_errors(small_code):
 def test_bp_decode_validates_length(small_code):
     with pytest.raises(ValueError, match="length mismatch"):
         bp_decode(small_code, np.zeros(small_code.n_code + 1))
+
+
+def test_bp_decode_rejects_nan_and_clamps_inf():
+    code = gallager_code(8, 2, 4, np.random.default_rng(5))
+    llrs = np.array([np.nan, -1.0, 2.0, 3.0, -4.0, 5.0, 6.0, 7.0])
+    with pytest.raises(ValueError, match="NaN"):
+        bp_decode(code, llrs)
+    infinite = np.array([np.inf, -np.inf, 2.0, 3.0, -4.0, 5.0, -np.inf, 7.0])
+    clamped = np.clip(infinite, -LLR_CLAMP, LLR_CLAMP)
+    assert bp_decode(code, infinite) == bp_decode(code, clamped)
+
+
+def _bp_decode_dense(code: LinearCode, llrs, max_iters: int = 60):
+    # reference decoder: the same sum-product updates, with every stop test
+    # taken from the dense packed-row syndrome; also returns the test count
+    rows = _pack_rows(code.check_cols, code.n_code)
+    tests = []
+
+    def satisfied(hard):
+        tests.append(hard)
+        return not _syndrome_dense(rows, BitString.from_bits(hard)).to_bits().any()
+
+    llrs = np.clip(np.asarray(llrs, dtype=float), -LLR_CLAMP, LLR_CLAMP)
+    ce, ve, starts = code._edges_check, code._edges_var, code._check_starts
+    msg_vc = llrs[ve]
+    hard = (llrs < 0).astype(np.uint8)
+    if satisfied(hard):
+        return BitString.from_bits(hard), True, len(tests)
+    tiny = 1e-12
+    for _ in range(max_iters):
+        t = np.tanh(0.5 * msg_vc)
+        mag = np.clip(np.abs(t), tiny, 1.0 - 1e-12)
+        neg = (t < 0).astype(np.int64)
+        log_mag = np.log(mag)
+        group_log = np.add.reduceat(log_mag, starts)
+        group_neg = np.add.reduceat(neg, starts)
+        ext_log = group_log[ce] - log_mag
+        ext_sign = 1.0 - 2.0 * ((group_neg[ce] - neg) & 1)
+        prod = np.clip(ext_sign * np.exp(ext_log), -(1.0 - 1e-12), 1.0 - 1e-12)
+        msg_cv = 2.0 * np.arctanh(prod)
+        totals = llrs + np.bincount(ve, weights=msg_cv, minlength=code.n_code)
+        msg_vc = np.clip(totals[ve] - msg_cv, -LLR_CLAMP, LLR_CLAMP)
+        hard = (totals < 0).astype(np.uint8)
+        if satisfied(hard):
+            return BitString.from_bits(hard), True, len(tests)
+    return BitString.from_bits(hard), False, len(tests)
+
+
+def test_bp_decode_matches_dense_reference_on_weak_eve_blocks(
+    weak_eve_params, weak_eve_noise, monkeypatch
+):
+    # Alice's LLRs as a run builds them at the weak-eve geometry, decoded on
+    # the weak-eve bench code shape; BP's iteration count is read off its
+    # syndrome_of calls, so those must match the reference's stop tests
+    code = _bench_shaped_codes()[0]
+    rng = np.random.default_rng(61)
+    l, blocks = 10_000, 4
+    alice, bob, _, _ = sample_rounds(
+        weak_eve_params, weak_eve_noise, rng, 2 * l + blocks * code.n_code)
+    bundle = estimate_moments(np.column_stack([alice[:l], bob[:l]]), 5e-5)
+    bundle = residuals(np.column_stack([alice[l:2 * l], bob[l:2 * l]]), bundle)
+    chan = SoftChannel.from_bundle(bundle)
+    bob_bits = (bob[2 * l:] < bundle.e_hat).astype(np.uint8)
+    cases = []
+    for k in range(blocks):
+        sl = slice(k * code.n_code, (k + 1) * code.n_code)
+        shift = code.representative(code.syndrome_of(BitString.from_bits(bob_bits[sl])))
+        cases.append(chan.llr_array(alice[2 * l:][sl], shift.to_bits()))
+    # an input whose hard decision is already a codeword
+    codeword = BitString.from_bits(bob_bits[: code.n_code]) ^ code.representative(
+        code.syndrome_of(BitString.from_bits(bob_bits[: code.n_code])))
+    cases.append(np.where(codeword.to_bits() == 1, -3.0, 3.0))
+    # a block too noisy to decode
+    noisy = cases[0].copy()
+    noisy[rng.choice(code.n_code, size=code.n_code // 4, replace=False)] *= -1.0
+    cases.append(noisy)
+    calls = []
+    syndrome_of = LinearCode.syndrome_of
+    monkeypatch.setattr(
+        LinearCode, "syndrome_of", lambda self, x: calls.append(x) or syndrome_of(self, x))
+    flags = []
+    for llrs in cases:
+        calls.clear()
+        got, converged = bp_decode(code, llrs)
+        want, want_converged, want_tests = _bp_decode_dense(code, llrs)
+        assert got.words.tobytes() == want.words.tobytes()
+        assert converged == want_converged
+        assert len(calls) == want_tests
+        flags.append(converged)
+    assert flags[-2] and not flags[-1]
+    assert sum(flags[:blocks]) >= blocks - 1
 
 
 # -------------------------------------------------------------- reconciliation

@@ -267,7 +267,8 @@ def run_protocol(
     if not post_selection_gate(bundle, params):
         return _abort("post-selection gate rejected the estimated geometry")
     try:
-        mi_estimate = mutual_info_ab(bundle, EmpiricalCdf(points=bundle.residuals))
+        residual_cdf = EmpiricalCdf(points=bundle.residuals)
+        mi_estimate = mutual_info_ab(bundle, residual_cdf)
     except ValueError as exc:
         return _abort(f"degenerate estimates: {exc}")
     if code.rate > mi_estimate:
@@ -300,7 +301,7 @@ def run_protocol(
             mutual_info_estimate=mi_estimate,
         )
 
-    chan = SoftChannel.from_bundle(bundle)
+    chan = SoftChannel.from_cdf(bundle.c_hat, residual_cdf)
     bob_bits_all = (bob[distill] < bundle.e_hat).astype(np.uint8)  # B >= e_hat -> 0
     alice_symbols_all = alice[distill]
     bob_blocks: list[BitString] = []

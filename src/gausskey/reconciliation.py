@@ -31,15 +31,6 @@ __all__ = [
 LLR_CLAMP = 40.0  # near-deterministic symbols saturate here
 
 
-def _pack_rows(rows: list[list[int]], n: int) -> np.ndarray:
-    words = (n + 63) // 64
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    for i, cols in enumerate(rows):
-        for c in cols:
-            out[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-    return out
-
-
 class LinearCode:
     """Binary linear code given by parity checks, with fixed coset inverses.
 
@@ -72,10 +63,11 @@ class LinearCode:
     def _elaborate(self) -> None:
         # one augmented array [rows | transform]: the pivot row is zero left
         # of its pivot column, so each XOR starts at the pivot's word
-        rows = _pack_rows(self.check_cols, self.n_code)
-        r, w = rows.shape
+        r, w = self.num_checks, (self.n_code + 63) // 64
         work = np.zeros((r, w + (r + 63) // 64), dtype=np.uint64)
-        work[:, :w] = rows
+        var = self._edges_var
+        bits = np.uint64(1) << (var & 63).astype(np.uint64)
+        np.bitwise_or.at(work, (self._edges_check, var >> 6), bits)
         idx = np.arange(r)
         work[idx, w + (idx >> 6)] = np.uint64(1) << (idx & 63).astype(np.uint64)
         rank = 0
@@ -220,15 +212,19 @@ class SoftChannel:
     prior_log_ratio: float  # ln Pr[bit 1] - ln Pr[bit 0]
 
     @staticmethod
+    def from_cdf(c_hat: float, residual_cdf: EmpiricalCdf) -> "SoftChannel":
+        """Channel from the covariance estimate and the residual CDF."""
+        _, z0 = bit_zero_probabilities(c_hat, residual_cdf)
+        z0 = min(max(z0, 1e-300), 1.0 - 1e-16)
+        prior = math.log(1.0 - z0) - math.log(z0)
+        return SoftChannel(c_hat=c_hat, residual_cdf=residual_cdf, prior_log_ratio=prior)
+
+    @staticmethod
     def from_residuals(c_hat: float, residuals: tuple[float, ...]) -> "SoftChannel":
         """Channel from the covariance estimate and the sorted residuals."""
         if len(residuals) == 0:
             raise ValueError("no residuals to build the channel from")
-        cdf = EmpiricalCdf(points=residuals)
-        _, z0 = bit_zero_probabilities(c_hat, cdf)
-        z0 = min(max(z0, 1e-300), 1.0 - 1e-16)
-        prior = math.log(1.0 - z0) - math.log(z0)
-        return SoftChannel(c_hat=c_hat, residual_cdf=cdf, prior_log_ratio=prior)
+        return SoftChannel.from_cdf(c_hat, EmpiricalCdf(points=residuals))
 
     @staticmethod
     def from_bundle(bundle: EstimateBundle) -> "SoftChannel":

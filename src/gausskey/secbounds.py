@@ -14,7 +14,7 @@ n-scaled exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, xlogy
@@ -52,6 +52,7 @@ VARIATIONAL_DISTANCE = "variational-distance"
 MODIFIED_MUTUAL_INFO = "modified-mutual-info"
 
 _BLOCK = 1 << 16  # exponent kernel block: 2^16 points, 512 KiB of float64
+_SEED_POINTS = 10_000  # quadrature points of the law the sacrifice seed searches
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,23 @@ def _probe(dist) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unsupported distribution: {type(dist).__name__}")
 
 
+def _thinned(dist, max_points: int):
+    """dist on every g-th point, the smallest g that leaves <= max_points.
+
+    The kept points are the middles of consecutive groups of g, so a sorted
+    sample keeps its group medians. A mixture keeps every g-th kernel with
+    all its nodes. An analytic law, or one already that small, is returned
+    as itself.
+    """
+    if isinstance(dist, AnalyticGaussian):
+        return dist
+    per_point = NORMAL_NODES.size if isinstance(dist, GaussianMixture) else 1
+    g = -(-len(dist.points) // (max_points // per_point))
+    if g == 1:
+        return dist
+    return replace(dist, points=dist.points[g // 2 :: g])
+
+
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / math.log(2.0)
 
@@ -154,6 +172,7 @@ class ExponentWithPadding:
         if padding < 0:
             raise ValueError("padding must be nonnegative")
         xs, ws = _probe(dist)
+        self._law = dist
         self._p = ndtr(xs / math.sqrt(v))
         self._ws = ws
         log_ratio = 1.0 - self._p
@@ -165,6 +184,15 @@ class ExponentWithPadding:
         self.v = float(v)
         self.padding = float(padding)
         self._cache: dict[float, float] = {}
+
+    def seed_evaluator(self) -> "ExponentWithPadding":
+        """The same padded exponent on this law thinned to _SEED_POINTS points.
+
+        Cheap enough to search freely; nothing certified is read from it.
+        Returns self when the law is already that small.
+        """
+        law = _thinned(self._law, _SEED_POINTS)
+        return self if law is self._law else ExponentWithPadding(law, self.v, self.padding)
 
     def _mean_norm(self, t: float) -> float:
         """Weighted mean of the l_q norm of (p, 1-p) at q = 1/(1-t)."""
@@ -383,32 +411,35 @@ def _bound_at(phi_fn, n: int, m1: int) -> float:
     return minimize_exponent(phi_fn, n, m1, VARIATIONAL_DISTANCE).log2_bound
 
 
-def sacrifice_length(phi_fn, n: int, target_log2: float) -> int:
+def sacrifice_length(phi: ExponentWithPadding, n: int, target_log2: float) -> int:
     """Minimal sacrifice count whose distance bound meets the target.
 
     bound(m1) <= T holds iff t (n - m1) + n phi(t) <= T - log2 3 for some t,
     so the minimal m1 is ceil(n - max_t (T - log2 3 - n phi(t)) / t), one
     quasiconcave maximization. A bounded Brent search over t in [1e-9, 1/2]
-    to 1e-6 in t seeds m1 from it; a two-point guard then checks
-    bound(m1) <= T < bound(m1 - 1) on the full minimization (the same Brent
-    search, through minimize_exponent) and steps m1 by one while either
-    check fails, so m1 does not depend on the seed's accuracy. The guard's
-    bound(m1) is the distance certificate at m1, so a memoized phi_fn
+    to 1e-6 in t finds the argmax t^ on phi's seed evaluator (its law
+    thinned to at most _SEED_POINTS quadrature points), and one evaluation
+    of phi itself at t^ seeds m1. A two-point guard then checks
+    bound(m1) <= T < bound(m1 - 1) on the full minimization of phi (the same
+    Brent search, through minimize_exponent) and steps m1 by one while
+    either check fails, so m1 does not depend on the seed's accuracy. The
+    guard's bound(m1) is the distance certificate at m1, so the memoized phi
     serves that certificate without new evaluations.
     """
     target_prime = target_log2 - math.log2(3.0)
 
-    def margin(t: float) -> float:
+    def margin(phi_fn, t: float) -> float:
         return (target_prime - n * phi_fn(t)) / t
 
-    _, neg = _brent_bounded(lambda t: -margin(t), 1e-9, 0.5, 1e-6)
-    m1 = max(0, min(n, math.ceil(n + neg)))  # neg = -max margin
+    seed = phi.seed_evaluator()
+    t_hat, _ = _brent_bounded(lambda t: -margin(seed, t), 1e-9, 0.5, 1e-6)
+    m1 = max(0, min(n, math.ceil(n - margin(phi, t_hat))))
     while True:
-        if _bound_at(phi_fn, n, m1) > target_log2:
+        if _bound_at(phi, n, m1) > target_log2:
             m1 += 1
             if m1 > n:
                 raise ValueError("target unachievable even when sacrificing every bit")
-        elif m1 > 0 and _bound_at(phi_fn, n, m1 - 1) <= target_log2:
+        elif m1 > 0 and _bound_at(phi, n, m1 - 1) <= target_log2:
             m1 -= 1
         else:
             return m1

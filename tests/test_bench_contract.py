@@ -1,0 +1,63 @@
+"""The benchmark's hooks into the program, checked without running the benchmark.
+
+bench/ patches module attributes and class methods by name and reads a few
+attributes of the program's objects. A rename there shows up here as a test
+failure instead of as a failed benchmark run.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gausskey.protocol import STATUS_SUCCESS, ProtocolConfig, run_protocol
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+
+
+def small_config():
+    return ProtocolConfig(n=4096, l=10_000, epsilon=5e-5, security_target_log2=-40.0,
+                          m2=64, code_path="unused-preloaded")
+
+
+def test_every_traced_target_resolves(bench):
+    import spans
+
+    for owner, attr, name, _note in spans.program_targets():
+        assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr}"
+        assert callable(owner.__dict__[attr]), name
+
+
+def test_sacrifice_probe_records_m1(bench, weak_eve_params, weak_eve_noise, small_code):
+    import inproc
+
+    probe = inproc.SacrificeProbe()
+    with probe.installed():
+        out = run_protocol(weak_eve_params, weak_eve_noise, small_config(),
+                           np.random.default_rng(101), code=small_code)
+    assert out.status == STATUS_SUCCESS
+    assert probe.m1 == out.transcript.m1
+    assert probe.first[3] == probe.m1
+    assert inproc.minimality(probe.first) is None
+
+
+def test_traced_run_records_every_layer(bench, weak_eve_params, weak_eve_noise, small_code):
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed(spans.program_targets()):
+        out = run_protocol(weak_eve_params, weak_eve_noise, small_config(),
+                           np.random.default_rng(101), code=small_code)
+    assert out.status == STATUS_SUCCESS
+    names = {s.name for s in tracer.spans}
+    for name in ("secbounds.build_certified_exponent", "secbounds.sacrifice_length",
+                 "secbounds.phi", "reconciliation.bp_decode", "hashing.toeplitz_hash"):
+        assert name in names
+    _timings, counts = spans.layer_metrics(tracer.spans, {0})
+    assert counts["secbounds.quad_points"] == 10_000  # 10^4 residual point masses
+    assert counts["secbounds.phi_evals"] > 0

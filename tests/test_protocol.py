@@ -88,6 +88,30 @@ def test_runs_are_deterministic_given_seed(weak_eve_params, weak_eve_noise, smal
     assert a.transcript == b.transcript
 
 
+@pytest.fixture(scope="module")
+def cli_batch_inputs():
+    # the cli-batch bench workload's code and run seeds at workload seed 0
+    rng = np.random.default_rng([3, 0])
+    code = gallager_code(512, 3, 4, np.random.default_rng(int(rng.integers(2**63))))
+    return code, int(rng.integers(1, 2**40))
+
+
+@pytest.mark.parametrize("run", [1118, 1237])
+def test_cli_batch_runs_where_a_decoder_can_miss_bobs_codeword(
+    weak_eve_params, weak_eve_noise, cli_batch_inputs, run
+):
+    # seeds 260375906700 and 260375906819: on block 1 and block 4 of these
+    # runs a layered-schedule BP reaches a zero syndrome on a codeword other
+    # than Bob's and the run fails verification; the flooding decoder must
+    # return Bob's codeword on every block
+    code, seed_base = cli_batch_inputs
+    out = run_protocol(weak_eve_params, weak_eve_noise, demo_config(),
+                       np.random.default_rng(seed_base + run), code=code)
+    assert out.status == STATUS_SUCCESS
+    assert out.bob_key == out.alice_key
+    assert out.converged_blocks == out.total_blocks == 8
+
+
 def demo_alice_symbols(params, noise, seed):
     # reproduce the run's sampling: one seed draw precedes the channel use
     rng = np.random.default_rng(seed)

@@ -20,7 +20,6 @@ from gausskey.reconciliation import (
     LLR_CLAMP,
     LinearCode,
     SoftChannel,
-    _pack_rows,
     bp_decode,
     gallager_code,
     load_alist,
@@ -107,6 +106,15 @@ def test_duplicate_columns_collapse():
     # repeated column indices within a row collapse to one at construction
     code = LinearCode(3, [[0, 1, 1, 0, 2]])
     assert code.check_cols == [[0, 1, 2]]
+
+
+def _pack_rows(rows: list[list[int]], n: int) -> np.ndarray:
+    # reference packer: set each row's bits one column at a time
+    out = np.zeros((len(rows), (n + 63) // 64), dtype=np.uint64)
+    for i, cols in enumerate(rows):
+        for c in cols:
+            out[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+    return out
 
 
 def _syndrome_dense(rows: np.ndarray, x: BitString) -> BitString:
@@ -314,6 +322,9 @@ def test_from_bundle_prior_uses_left_limit_at_a_residual():
     chan = SoftChannel.from_bundle(bundle)
     assert chan.prior_log_ratio == pytest.approx(math.log(1.0 - z0) - math.log(z0),
                                                  abs=1e-12)
+    # a run hands its one residual CDF to the channel: the same channel
+    shared = SoftChannel.from_cdf(c_hat, cdf)
+    assert shared == chan and shared.residual_cdf is cdf
 
 
 # ------------------------------------------------------------------- decoding

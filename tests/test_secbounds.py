@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -24,6 +26,7 @@ from gausskey.estimation import (
 from gausskey.gaussmodel import ChannelParams
 from gausskey.secbounds import (
     _BLOCK,
+    _SEED_POINTS,
     MODIFIED_MUTUAL_INFO,
     VARIATIONAL_DISTANCE,
     AnalyticGaussian,
@@ -603,6 +606,95 @@ def test_sacrifice_length_edges():
     with pytest.raises(ValueError, match="unachievable"):
         # bound at m1 = n is still log2(3) + n * min phi < 0 but far above
         sacrifice_length(ev, 100, -1000.0)
+
+
+def _sacrifice_length_full_seed(phi_fn, n, target_log2):
+    # reference: the same search with its Brent seed run on phi itself
+    target_prime = target_log2 - math.log2(3.0)
+    _, neg = _brent_bounded(lambda t: -(target_prime - n * phi_fn(t)) / t, 1e-9, 0.5, 1e-6)
+    m1 = max(0, min(n, math.ceil(n + neg)))
+    while True:
+        if minimize_exponent(phi_fn, n, m1, VARIATIONAL_DISTANCE).log2_bound > target_log2:
+            m1 += 1
+            if m1 > n:
+                raise ValueError("target unachievable even when sacrificing every bit")
+        elif m1 > 0 and minimize_exponent(phi_fn, n, m1 - 1, VARIATIONAL_DISTANCE).log2_bound <= target_log2:
+            m1 -= 1
+        else:
+            return m1
+
+
+def _outcome(search, phi, n, target):
+    try:
+        return search(phi, n, target)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _thinned_laws(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    scale = draw(st.floats(min_value=0.3, max_value=2.0))
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=200, max_value=3_000))
+        pts = np.sort(np.random.default_rng(seed).normal(0.0, scale, size))
+        law = GaussianMixture(points=tuple(pts.tolist()),
+                              stdev=draw(st.floats(min_value=0.1, max_value=1.5)))
+    else:
+        size = draw(st.integers(min_value=_SEED_POINTS + 1, max_value=30_000))
+        pts = np.sort(np.random.default_rng(seed).normal(0.0, scale, size))
+        law = PointMasses(points=tuple(pts.tolist()))
+    v = draw(st.floats(min_value=0.2, max_value=3.0))
+    padding = draw(st.floats(min_value=0.0, max_value=0.05))
+    n = draw(st.integers(min_value=1_000, max_value=100_000))
+    target = draw(st.floats(min_value=-200.0, max_value=-5.0))
+    return law, v, padding, n, target
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_thinned_laws())
+def test_thinned_seed_matches_full_seed(case):
+    law, v, padding, n, target = case
+    ev = ExponentWithPadding(law, v, padding)
+    assert ev.seed_evaluator() is not ev
+    expected = _outcome(_sacrifice_length_full_seed, ExponentWithPadding(law, v, padding), n, target)
+    assert _outcome(sacrifice_length, ev, n, target) == expected
+
+
+def test_seed_evaluator_is_self_on_small_laws():
+    for law in (AnalyticGaussian(1.2),
+                PointMasses(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS).tolist())),
+                GaussianMixture(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS // NORMAL_NODES.size).tolist()),
+                                stdev=0.5)):
+        ev = ExponentWithPadding(law, 1.5, 0.01)
+        assert ev.seed_evaluator() is ev
+
+
+@pytest.mark.parametrize("law", [
+    PointMasses(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS + 1).tolist())),
+    GaussianMixture(points=tuple(np.linspace(-3.0, 3.0, 10_000).tolist()), stdev=0.5),
+])
+def test_seed_evaluator_thins_large_laws(law):
+    ev = ExponentWithPadding(law, 1.5, 0.01)
+    seed = ev.seed_evaluator()
+    assert (seed.v, seed.padding) == (ev.v, ev.padding)
+    assert _SEED_POINTS // 2 <= seed._p.size <= _SEED_POINTS
+    assert set(seed._law.points) < set(law.points)
+
+
+def test_thinned_seed_costs_one_full_evaluation():
+    # reference-workload shape: 10^4 smoothed residuals, 960k quadrature points
+    pts = np.sort(np.random.default_rng(17).normal(0.0, 1.1, 10_000))
+    law = GaussianMixture(points=tuple(pts.tolist()), stdev=0.58)
+    ev = ExponentWithPadding(law, 1.57, 0.042)
+    n, target = 16_384, -40.0
+    m1 = sacrifice_length(ev, n, target)
+    # the guard alone, on a fresh evaluator: bound(m1) and bound(m1 - 1)
+    guard = ExponentWithPadding(law, 1.57, 0.042)
+    for m in (m1, m1 - 1):
+        minimize_exponent(guard, n, m, VARIATIONAL_DISTANCE)
+    assert ev._cache.keys() > guard._cache.keys()
+    assert len(ev._cache.keys() - guard._cache.keys()) == 1  # the seed's t
 
 
 @pytest.mark.parametrize("l, n, target, expected", [

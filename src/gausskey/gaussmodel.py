@@ -25,8 +25,6 @@ __all__ = [
     "listener_geometry",
     "squared_correlations",
     "advantage_condition",
-    "combine_antennas",
-    "split_complex_channel",
 ]
 
 
@@ -216,61 +214,3 @@ def advantage_condition(params: ChannelParams, injected_variance: float) -> bool
         return ab2 != 0
     return ab2 / injected_variance > params.eve_gain**2 / params.eve_noise**2 + 1
 
-
-def combine_antennas(antennas) -> tuple[float, float]:
-    """Reduce several Eve antennas to one effective (gain, noise) pair.
-
-    Eve's best linear combination of k antennas is equivalent to a single
-    observation. We normalize so that k identical antennas (g, s) give
-    (g, s/sqrt(k)); for mixed antennas the gain is anchored to the weakest
-    one, which is a convention (only the noise-to-gain ratio is canonical).
-    """
-    pairs = [(float(g), float(s)) for g, s in antennas]
-    if not pairs:
-        raise ValueError("need at least one antenna")
-    if any(g <= 0 or s <= 0 for g, s in pairs):
-        raise ValueError("gains and noise stdevs must be positive")
-    k = len(pairs)
-    ratio = math.sqrt(sum((s / g) ** 2 for g, s in pairs))
-    gain = min(g for g, _ in pairs)
-    return gain, gain * ratio / k
-
-
-def split_complex_channel(
-    bob_gain: float,
-    bob_noise: float,
-    eve_gain: float,
-    eve_noise: float,
-    bob_offset: float,
-    theta_bob: float = 0.0,
-    theta_eve: float = 0.0,
-    theta_injected: float = 0.0,
-    theta_bob_det: float = 0.0,
-    theta_eve_det: float = 0.0,
-    theta_offset: float = 0.0,
-) -> tuple[ChannelParams, ChannelParams]:
-    """Split a complex-envelope channel into two independent real channels.
-
-    Phase rotations are absorbed by the circularly symmetric noise terms;
-    only the offset phase relative to Bob's carrier survives, landing as a
-    cosine/sine pair on the two real components. All magnitudes carry over
-    unchanged.
-    """
-    if bob_noise <= 0 or eve_noise <= 0 or eve_gain <= 0:
-        raise ValueError("noise stdevs and eve_gain must be positive")
-    delta = theta_offset - theta_bob
-    real = ChannelParams(
-        bob_gain=bob_gain,
-        bob_noise=bob_noise,
-        bob_offset=bob_offset * math.cos(delta),
-        eve_gain=eve_gain,
-        eve_noise=eve_noise,
-    )
-    imag = ChannelParams(
-        bob_gain=bob_gain,
-        bob_noise=bob_noise,
-        bob_offset=bob_offset * math.sin(delta),
-        eve_gain=eve_gain,
-        eve_noise=eve_noise,
-    )
-    return real, imag

@@ -11,6 +11,7 @@ product is computed as an exact integer convolution by one FFT product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,19 @@ class ToeplitzSeed:
             output_len=output_len,
         )
 
+    @property
+    def _fft_size(self) -> int:
+        """toeplitz_hash's transform length: a power of two >= the seed length."""
+        return 1 << (self.input_len + self.output_len - 2).bit_length()
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """rfft of the 0/1 seed, computed once per seed and read-only: a hash
+        multiplies it into the input's spectrum."""
+        spectrum = np.fft.rfft(self.bits.to_bits().astype(np.float64), self._fft_size)
+        spectrum.flags.writeable = False
+        return spectrum
+
 
 def toeplitz_hash(seed: ToeplitzSeed, x: BitString) -> BitString:
     """Matrix-vector product over GF(2) with the Toeplitz matrix of the seed.
@@ -138,9 +152,9 @@ def toeplitz_hash(seed: ToeplitzSeed, x: BitString) -> BitString:
     n1, n2 = seed.input_len, seed.output_len
     if x.length != n1:
         raise ValueError(f"input must have {n1} bits, got {x.length}")
-    size = 1 << (n1 + n2 - 2).bit_length()
-    spectrum = np.fft.rfft(seed.bits.to_bits().astype(np.float64), size)
-    spectrum *= np.fft.rfft(x.to_bits().astype(np.float64), size)
+    size = seed._fft_size
+    spectrum = np.fft.rfft(x.to_bits().astype(np.float64), size)
+    np.multiply(seed._spectrum, spectrum, out=spectrum)
     counts = np.fft.irfft(spectrum, size)[n1 - 1 : n1 - 1 + n2]
     rounded = np.rint(counts)
     if np.max(np.abs(counts - rounded)) >= 0.25:

@@ -54,6 +54,18 @@ MODIFIED_MUTUAL_INFO = "modified-mutual-info"
 _BLOCK = 1 << 16  # exponent kernel block: 2^16 points, 512 KiB of float64
 _SEED_POINTS = 10_000  # quadrature points of the law the sacrifice seed searches
 
+# A smoothed mixture's kernel integrates on the nodes of the 96-node normal
+# rule whose weight is at least 2^-64/96: the 58 central ones. The 38 dropped
+# weights sum to _KERNEL_TAIL, about 2.2e-22 (at most 2^-64). Every integrand
+# taken against a law here (an l_q norm of (p, 1-p), a binary entropy) lies
+# in [0, 1], so the kept-node sum plus _KERNEL_TAIL bounds the 96-node sum
+# from above. The exponent's base is at least 1/2, where 2^-64 is 2^-11 of
+# one ulp.
+_KERNEL_KEPT = NORMAL_WEIGHTS >= 2.0**-64 / NORMAL_WEIGHTS.size
+_KERNEL_NODES = NORMAL_NODES[_KERNEL_KEPT]
+_KERNEL_WEIGHTS = NORMAL_WEIGHTS[_KERNEL_KEPT]
+_KERNEL_TAIL = float(NORMAL_WEIGHTS[~_KERNEL_KEPT].sum())
+
 
 @dataclass(frozen=True)
 class AnalyticGaussian:
@@ -99,18 +111,19 @@ class SecurityCertificate:
     confidence: float | None = None
 
 
-def _probe(dist) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points and weights integrating exactly against dist."""
+def _probe(dist) -> tuple[np.ndarray, np.ndarray, float]:
+    """Quadrature points and weights integrating against dist, and the
+    weight they drop: _KERNEL_TAIL for a mixture, 0.0 otherwise."""
     if isinstance(dist, AnalyticGaussian):
-        return NORMAL_NODES * math.sqrt(dist.variance), NORMAL_WEIGHTS.copy()
+        return NORMAL_NODES * math.sqrt(dist.variance), NORMAL_WEIGHTS.copy(), 0.0
     if isinstance(dist, PointMasses):
         pts = np.asarray(dist.points, dtype=float)
-        return pts, np.full(pts.size, 1.0 / pts.size)
+        return pts, np.full(pts.size, 1.0 / pts.size), 0.0
     if isinstance(dist, GaussianMixture):
         pts = np.asarray(dist.points, dtype=float)
-        xs = (pts[:, None] + dist.stdev * NORMAL_NODES[None, :]).ravel()
-        ws = np.tile(NORMAL_WEIGHTS / pts.size, pts.size)
-        return xs, ws
+        xs = (pts[:, None] + dist.stdev * _KERNEL_NODES[None, :]).ravel()
+        ws = np.tile(_KERNEL_WEIGHTS / pts.size, pts.size)
+        return xs, ws, _KERNEL_TAIL
     raise TypeError(f"unsupported distribution: {type(dist).__name__}")
 
 
@@ -119,12 +132,12 @@ def _thinned(dist, max_points: int):
 
     The kept points are the middles of consecutive groups of g, so a sorted
     sample keeps its group medians. A mixture keeps every g-th kernel with
-    all its nodes. An analytic law, or one already that small, is returned
-    as itself.
+    all its kernel nodes. An analytic law, or one already that small, is
+    returned as itself.
     """
     if isinstance(dist, AnalyticGaussian):
         return dist
-    per_point = NORMAL_NODES.size if isinstance(dist, GaussianMixture) else 1
+    per_point = _KERNEL_NODES.size if isinstance(dist, GaussianMixture) else 1
     g = -(-len(dist.points) // (max_points // per_point))
     if g == 1:
         return dist
@@ -136,12 +149,15 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
 
 
 def sign_entropy(dist, v: float) -> float:
-    """Entropy (bits) of the sign of a N(x, v) draw with x distributed as dist."""
+    """Entropy (bits) of the sign of a N(x, v) draw with x distributed as dist.
+
+    A mixture's dropped kernel weight counts at the entropy's maximum, 1.
+    """
     if not (v > 0):
         raise ValueError("conditional variance must be positive")
-    xs, ws = _probe(dist)
+    xs, ws, tail = _probe(dist)
     p = ndtr(xs / math.sqrt(v))
-    return float(np.einsum("i,i->", ws, _binary_entropy(p)))
+    return float(np.einsum("i,i->", ws, _binary_entropy(p))) + tail
 
 
 def sign_exponent(dist, v: float, t: float) -> float:
@@ -163,7 +179,8 @@ class ExponentWithPadding:
     hi per block, into one vector and takes a single weighted sum over it,
     so each value is bit-identical to the unblocked two-pass formula. The
     sum is an einsum, not a BLAS dot, so its bits do not depend on the BLAS
-    thread count. Calls are memoized by t.
+    thread count. A mixture's dropped kernel weight is added to the mean at
+    the norm's maximum, 1. Calls are memoized by t.
     """
 
     def __init__(self, dist, v: float, padding: float):
@@ -171,10 +188,11 @@ class ExponentWithPadding:
             raise ValueError("conditional variance must be positive")
         if padding < 0:
             raise ValueError("padding must be nonnegative")
-        xs, ws = _probe(dist)
+        xs, ws, tail = _probe(dist)
         self._law = dist
         self._p = ndtr(xs / math.sqrt(v))
         self._ws = ws
+        self._tail = tail
         log_ratio = 1.0 - self._p
         np.minimum(self._p, log_ratio, out=log_ratio)
         log_ratio /= np.maximum(self._p, 1.0 - self._p)
@@ -209,7 +227,7 @@ class ExponentWithPadding:
                 out /= q
                 np.exp(out, out=out)
                 out *= np.maximum(p[block], 1.0 - p[block])
-        return float(np.einsum("i,i->", self._ws, vals))
+        return float(np.einsum("i,i->", self._ws, vals)) + self._tail
 
     def raw(self, t: float) -> float:
         """Exponent without the padding term."""

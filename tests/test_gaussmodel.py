@@ -7,10 +7,8 @@ from gausskey.gaussmodel import (
     ChannelParams,
     NoiseSpec,
     advantage_condition,
-    combine_antennas,
     condense_eve_view,
     sample_rounds,
-    split_complex_channel,
     squared_correlations,
 )
 
@@ -124,50 +122,6 @@ def test_advantage_matches_correlation_ordering(reference_params):
     for v_y in (0.05, 0.3, 0.8, 0.999, 1.0, 1.2, 3.0):
         rho_a, rho_cond, _ = squared_correlations(reference_params, v_y)
         assert advantage_condition(reference_params, v_y) == (rho_a > rho_cond)
-
-
-def test_combine_antennas_identical_units():
-    gain, noise = combine_antennas([(0.5, 2.0)] * 4)
-    assert gain == pytest.approx(0.5)
-    assert noise == pytest.approx(2.0 / math.sqrt(4))
-
-
-def test_combine_antennas_mixed_keeps_ratio():
-    antennas = [(0.5, 2.0), (0.25, 1.0), (1.0, 3.0)]
-    gain, noise = combine_antennas(antennas)
-    want_ratio_sq = sum((s / g) ** 2 for g, s in antennas) / len(antennas) ** 2
-    assert (noise / gain) ** 2 == pytest.approx(want_ratio_sq)
-    assert gain == pytest.approx(0.25)  # anchored to the weakest antenna
-
-
-def test_more_antennas_never_hurt_eve(reference_params):
-    # adding an antenna reduces Eve's noise-to-gain ratio, which can only
-    # weaken the advantage condition's right side... check monotonicity
-    base = [(1.0, 1.0)]
-    ratios = []
-    for k in range(1, 6):
-        gain, noise = combine_antennas(base * k)
-        ratios.append(noise / gain)
-    assert all(b < a for a, b in zip(ratios, ratios[1:]))
-
-
-def test_split_complex_channel_offsets():
-    real, imag = split_complex_channel(
-        bob_gain=1.2,
-        bob_noise=0.7,
-        eve_gain=0.9,
-        eve_noise=1.1,
-        bob_offset=2.0,
-        theta_bob=0.25,
-        theta_offset=1.0,
-    )
-    assert real.bob_offset == pytest.approx(2.0 * math.cos(0.75))
-    assert imag.bob_offset == pytest.approx(2.0 * math.sin(0.75))
-    for p in (real, imag):
-        assert p.bob_gain == 1.2 and p.bob_noise == 0.7
-        assert p.eve_gain == 0.9 and p.eve_noise == 1.1
-    # offsets recombine to the original magnitude
-    assert math.hypot(real.bob_offset, imag.bob_offset) == pytest.approx(2.0)
 
 
 def test_noise_spec_variants():

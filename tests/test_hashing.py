@@ -162,6 +162,23 @@ def test_matches_word_loop_at_protocol_shapes(n1, n2):
     assert toeplitz_hash(seed, x) == word_loop_hash(seed, x)
 
 
+def test_seed_spectrum_is_computed_once_and_left_unchanged():
+    # Bob's and Alice's words hash under one seed: the second hash reuses
+    # the seed's spectrum, and neither hash writes into it
+    rng = np.random.default_rng(12)
+    seed = ToeplitzSeed.random(rng, 4096, 294)
+    x, y = BitString.random(rng, 4096), BitString.random(rng, 4096)
+    first = toeplitz_hash(seed, x)
+    cached = seed._spectrum
+    before = cached.copy()
+    assert not cached.flags.writeable
+    second = toeplitz_hash(seed, y)
+    assert toeplitz_hash(seed, x) == first
+    assert seed._spectrum is cached
+    assert np.array_equal(cached, before)
+    assert first == word_loop_hash(seed, x) and second == word_loop_hash(seed, y)
+
+
 def test_inexact_transform_raises(monkeypatch):
     rng = np.random.default_rng(10)
     seed = ToeplitzSeed.random(rng, 300, 40)

@@ -16,6 +16,7 @@ from scipy.stats import norm
 import gausskey
 from gausskey.estimation import (
     NORMAL_NODES,
+    NORMAL_WEIGHTS,
     EmpiricalCdf,
     EstimateBundle,
     estimate_eve_cdf,
@@ -26,6 +27,10 @@ from gausskey.estimation import (
 from gausskey.gaussmodel import ChannelParams
 from gausskey.secbounds import (
     _BLOCK,
+    _KERNEL_KEPT,
+    _KERNEL_NODES,
+    _KERNEL_TAIL,
+    _KERNEL_WEIGHTS,
     _SEED_POINTS,
     MODIFIED_MUTUAL_INFO,
     VARIATIONAL_DISTANCE,
@@ -266,7 +271,7 @@ def _two_pass_lq_mean(p, ws, q):
 def _kernel_oracle_case(name):
     rng = np.random.default_rng(11)
     stdev = 0.5
-    bulk = rng.normal(0.0, 3.0, 1500 - 43)
+    bulk = rng.normal(0.0, 3.0, 2300 - 43)
     # kernels centred far enough out that ndtr returns exactly 0 or 1, a
     # sweep through the range where min(p, 1-p) is subnormal, and a point
     # whose kernel puts one quadrature node exactly on 0 (p = 1/2)
@@ -288,24 +293,25 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
     ev = ExponentWithPadding(dist, v, pad)
     if name == "mixture":
         # spans several kernel blocks and ends in a partial one
-        assert ev._p.size == 1500 * 96
+        assert ev._p.size == 2300 * 58
         assert ev._p.size > 2 * _BLOCK and ev._p.size % _BLOCK != 0
         assert np.any(ev._p == 0.0) and np.any(ev._p == 1.0)
         assert np.any(ev._p == 0.5)
+    assert ev._tail == (_KERNEL_TAIL if name == "mixture" else 0.0)
     for t in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.9999):
-        base = _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t))
+        base = _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)) + ev._tail
         assert ev.raw(t) == math.log2(base)
         assert ev(t) == math.log2(base + 2.0 * (1.0 - 2.0**-t) * pad)
     # a last-bit change inside the kernel (say x * (1/q) for x / q) reaches
     # the returned value only at a few t, so sweep densely as well
     for t in np.linspace(0.001, 0.999, 300).tolist():
-        assert ev.raw(t) == math.log2(_two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)))
+        assert ev.raw(t) == math.log2(_two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)) + ev._tail)
 
 
 _THREAD_PROBE = """
 import numpy as np
 from gausskey.secbounds import ExponentWithPadding, GaussianMixture, sign_entropy
-pts = np.random.default_rng(3).normal(0.0, 1.2, 2000)
+pts = np.random.default_rng(3).normal(0.0, 1.2, 2300)
 dist = GaussianMixture(points=tuple(pts.tolist()), stdev=0.4)
 ev = ExponentWithPadding(dist, 1.5, 0.0)
 assert ev._p.size >= 1 << 17
@@ -624,6 +630,100 @@ def _sacrifice_length_full_seed(phi_fn, n, target_log2):
             return m1
 
 
+class _FullNodeExponent:
+    # reference: a mixture's padded exponent on all 96 nodes of every kernel,
+    # with no tail term, by the two-pass formula; memoized like the evaluator
+    def __init__(self, law, v, padding):
+        pts = np.asarray(law.points, dtype=float)
+        xs = (pts[:, None] + law.stdev * NORMAL_NODES[None, :]).ravel()
+        self._p = ndtr(xs / math.sqrt(v))
+        self._ws = np.tile(NORMAL_WEIGHTS / pts.size, pts.size)
+        self.padding = padding
+        self._cache = {}
+
+    def __call__(self, t):
+        if t not in self._cache:
+            base = _two_pass_lq_mean(self._p, self._ws, 1.0 / (1.0 - t))
+            self._cache[t] = 0.0 if t == 0.0 else math.log2(
+                base + 2.0 * (1.0 - 2.0**-t) * self.padding)
+        return self._cache[t]
+
+
+def test_kernel_nodes_are_the_central_block_with_a_bounded_tail():
+    kept = np.flatnonzero(_KERNEL_KEPT)
+    assert kept.size == _KERNEL_NODES.size == _KERNEL_WEIGHTS.size == 58
+    assert np.array_equal(kept, np.arange(kept[0], kept[0] + 58))
+    assert np.array_equal(_KERNEL_KEPT, _KERNEL_KEPT[::-1])
+    assert kept[0] + kept[-1] == NORMAL_NODES.size - 1
+    assert 40 in kept  # the node test_block_kernel_matches_two_pass_formula_bitwise centres
+    assert _KERNEL_TAIL == math.fsum(NORMAL_WEIGHTS[~_KERNEL_KEPT])
+    assert 0.0 < _KERNEL_TAIL <= 2.0**-64
+    assert np.all(_KERNEL_WEIGHTS >= 2.0**-64 / 96)
+    assert np.all(NORMAL_WEIGHTS[~_KERNEL_KEPT] < 2.0**-64 / 96)
+
+
+def test_mixture_entropy_counts_the_dropped_weight_at_one_bit():
+    # every kept node of a far kernel gives p exactly 1, so only the tail is left
+    assert sign_entropy(GaussianMixture(points=(40.0,), stdev=0.5), 1.0) == _KERNEL_TAIL
+    assert sign_entropy(PointMasses((40.0,)), 1.0) == 0.0
+
+
+def test_exponent_base_adds_the_dropped_weight():
+    # the tail is 2^-11 of an ulp of the base, so no value shows it: swap in
+    # a visible one to check that the base carries it
+    ev = ExponentWithPadding(GaussianMixture(points=(-0.4, 0.3, 1.1), stdev=0.5), 1.2, 0.0)
+    assert ev._tail == _KERNEL_TAIL
+    ev._tail = 0.125
+    assert ev._mean_norm(0.25) == _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - 0.25)) + 0.125
+
+
+@st.composite
+def _multi_block_mixtures(draw):
+    # more than _BLOCK kept-node points, so the kernel runs over several blocks
+    size = draw(st.integers(min_value=_BLOCK // 58 + 1, max_value=3 * _BLOCK // 58))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    pts = np.random.default_rng(seed).normal(0.0, draw(st.floats(min_value=0.2, max_value=5.0)), size)
+    law = GaussianMixture(points=tuple(pts.tolist()), stdev=draw(st.floats(min_value=0.05, max_value=2.0)))
+    v = draw(st.floats(min_value=0.1, max_value=4.0))
+    padding = draw(st.floats(min_value=0.0, max_value=0.05))
+    ts = draw(st.lists(st.floats(min_value=1e-9, max_value=0.9999), min_size=1, max_size=4))
+    return law, v, padding, ts + [0.9999]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_multi_block_mixtures())
+def test_kept_node_exponent_matches_full_node_oracle(case):
+    # the dropped nodes move 2^phi by at most the tail, 2^-11 of an ulp:
+    # what is left is the order of summation
+    law, v, padding, ts = case
+    ev, oracle = ExponentWithPadding(law, v, padding), _FullNodeExponent(law, v, padding)
+    assert ev._p.size > _BLOCK
+    for t in ts:
+        assert 2.0 ** ev(t) == pytest.approx(2.0 ** oracle(t), rel=1e-13, abs=0.0)
+
+
+@st.composite
+def _reference_mixtures(draw):
+    # reference-workload shape: sorted smoothed residuals of spread about 1.1
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    size = draw(st.integers(min_value=1_000, max_value=10_000))
+    pts = np.sort(np.random.default_rng(seed).normal(0.0, draw(st.floats(min_value=1.0, max_value=1.2)), size))
+    law = GaussianMixture(points=tuple(pts.tolist()), stdev=draw(st.floats(min_value=0.5, max_value=0.65)))
+    v = draw(st.floats(min_value=1.4, max_value=1.7))
+    padding = draw(st.floats(min_value=0.02, max_value=0.06))
+    n = draw(st.sampled_from([4_096, 16_384, 65_536]))
+    target = draw(st.sampled_from([-20.0, -40.0, -80.0]))
+    return law, v, padding, n, target
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_reference_mixtures())
+def test_kept_node_sacrifice_matches_full_node_oracle(case):
+    law, v, padding, n, target = case
+    expected = _outcome(_sacrifice_length_full_seed, _FullNodeExponent(law, v, padding), n, target)
+    assert _outcome(sacrifice_length, ExponentWithPadding(law, v, padding), n, target) == expected
+
+
 def _outcome(search, phi, n, target):
     try:
         return search(phi, n, target)
@@ -680,6 +780,10 @@ def test_seed_evaluator_thins_large_laws(law):
     assert (seed.v, seed.padding) == (ev.v, ev.padding)
     assert _SEED_POINTS // 2 <= seed._p.size <= _SEED_POINTS
     assert set(seed._law.points) < set(law.points)
+    if isinstance(law, GaussianMixture):
+        # g counts kept nodes: 10^4 kernels, g = ceil(10^4 / (10^4 // 58)) = 59,
+        # keep kernels 29, 88, ..., 9941 of 58 nodes each
+        assert seed._p.size == 169 * 58
 
 
 def test_thinned_seed_costs_one_full_evaluation():

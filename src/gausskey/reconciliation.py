@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimation import EmpiricalCdf, EstimateBundle, bit_zero_probabilities
+from .estimation import EmpiricalCdf, bit_zero_probabilities
 from .hashing import BitString
 
 __all__ = [
@@ -225,10 +225,6 @@ class SoftChannel:
         if len(residuals) == 0:
             raise ValueError("no residuals to build the channel from")
         return SoftChannel.from_cdf(c_hat, EmpiricalCdf(points=residuals))
-
-    @staticmethod
-    def from_bundle(bundle: EstimateBundle) -> "SoftChannel":
-        return SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
 
     def llr_array(self, symbols: np.ndarray, flips: np.ndarray) -> np.ndarray:
         signed = np.where(np.asarray(flips) != 0, -1.0, 1.0) * np.asarray(symbols, float)

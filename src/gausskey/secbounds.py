@@ -14,7 +14,7 @@ n-scaled exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, xlogy
@@ -51,8 +51,14 @@ __all__ = [
 VARIATIONAL_DISTANCE = "variational-distance"
 MODIFIED_MUTUAL_INFO = "modified-mutual-info"
 
-_BLOCK = 1 << 16  # exponent kernel block: 2^16 points, 512 KiB of float64
-_SEED_POINTS = 10_000  # quadrature points of the law the sacrifice seed searches
+_BLOCK = 1 << 16  # grid build block: 2^16 quadrature points, 512 KiB of float64
+
+# An exponent whose law has more than _GRID quadrature points evaluates on
+# the _GRID + 1 edges below, in u = min(p, 1 - p). They are uniform in
+# sqrt(2u), so dense near u = 0, where the exponent's integrand bends most.
+_GRID = 1 << 14
+_EDGES = 0.5 * (np.arange(_GRID + 1) / _GRID) ** 2
+_EDGES.flags.writeable = False  # every gridded evaluator shares it as its _p
 
 # A smoothed mixture's kernel integrates on the nodes of the 96-node normal
 # rule whose weight is at least 2^-64/96: the 58 central ones. The 38 dropped
@@ -127,21 +133,29 @@ def _probe(dist) -> tuple[np.ndarray, np.ndarray, float]:
     raise TypeError(f"unsupported distribution: {type(dist).__name__}")
 
 
-def _thinned(dist, max_points: int):
-    """dist on every g-th point, the smallest g that leaves <= max_points.
+def _edge_weights(xs: np.ndarray, ws: np.ndarray, v: float) -> np.ndarray:
+    """Weights on _EDGES whose mean of any convex function of u bounds the
+    points' mean of it from above.
 
-    The kept points are the middles of consecutive groups of g, so a sorted
-    sample keeps its group medians. A mixture keeps every g-th kernel with
-    all its kernel nodes. An analytic law, or one already that small, is
-    returned as itself.
+    Each point's u = min(p, 1 - p) lies in a bin [e_j, e_(j+1)]; its weight
+    goes lambda to e_j and 1 - lambda to e_(j+1), lambda = (e_(j+1) - u) /
+    (e_(j+1) - e_j), so the edges keep its mean u and sit on the chord above
+    it (the Edmundson-Madansky bound). Works in blocks of _BLOCK points.
     """
-    if isinstance(dist, AnalyticGaussian):
-        return dist
-    per_point = _KERNEL_NODES.size if isinstance(dist, GaussianMixture) else 1
-    g = -(-len(dist.points) // (max_points // per_point))
-    if g == 1:
-        return dist
-    return replace(dist, points=dist.points[g // 2 :: g])
+    edge_ws = np.zeros(_GRID + 1)
+    scale = math.sqrt(v)
+    for start in range(0, xs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        u = ndtr(-np.abs(xs[block]) / scale)
+        j = np.minimum((np.sqrt(2.0 * u) * _GRID).astype(np.intp), _GRID - 1)
+        j -= u < _EDGES[j]  # one step fixes the rounding of the square root
+        j += u > _EDGES[j + 1]
+        lo, hi = _EDGES[j], _EDGES[j + 1]
+        w = ws[block]
+        w_lo = w * ((hi - u) / (hi - lo))
+        edge_ws += np.bincount(j, w_lo, _GRID + 1)
+        edge_ws += np.bincount(j + 1, w - w_lo, _GRID + 1)
+    return edge_ws
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
@@ -172,15 +186,19 @@ class ExponentWithPadding:
 
     The exponent at t is log2 of the weighted mean of the l_q norm of
     (p, 1-p), q = 1/(1-t), in the stable form hi * (1 + r^q)^(1/q) with
-    hi = max(p, 1-p) and r = min/max <= 1. Neither p nor log r depends on t,
-    so both are stored once. log r is -inf where min = 0, which makes
+    hi = max(p, 1-p) and r = min/max <= 1. Neither hi nor log r depends on
+    t, so both are stored once. log r is -inf where min = 0, which makes
     r^q = exp(q log r) exactly 0 there: the q -> inf limit, and no special
-    case. A call evaluates the norm in blocks of _BLOCK points, recomputing
-    hi per block, into one vector and takes a single weighted sum over it,
-    so each value is bit-identical to the unblocked two-pass formula. The
-    sum is an einsum, not a BLAS dot, so its bits do not depend on the BLAS
-    thread count. A mixture's dropped kernel weight is added to the mean at
-    the norm's maximum, 1. Calls are memoized by t.
+    case. The final weighted sum is an einsum, not a BLAS dot, so its bits
+    do not depend on the BLAS thread count. A mixture's dropped kernel
+    weight is added to the mean at the norm's maximum, 1. Calls are
+    memoized by t.
+
+    A law of at most _GRID quadrature points is evaluated exactly. A larger
+    one (a smoothed mixture) is moved once onto the _GRID + 1 edges, with
+    the chord weights of _edge_weights: the norm is convex in
+    u = min(p, 1-p), so the edge mean bounds the exact one from above at
+    every t, and each call costs O(_GRID) whatever the law's size.
     """
 
     def __init__(self, dist, v: float, padding: float):
@@ -189,13 +207,16 @@ class ExponentWithPadding:
         if padding < 0:
             raise ValueError("padding must be nonnegative")
         xs, ws, tail = _probe(dist)
-        self._law = dist
-        self._p = ndtr(xs / math.sqrt(v))
+        if xs.size > _GRID:
+            p, ws = _EDGES, _edge_weights(xs, ws, v)
+        else:
+            p = ndtr(xs / math.sqrt(v))
+        self._p = p
         self._ws = ws
         self._tail = tail
-        log_ratio = 1.0 - self._p
-        np.minimum(self._p, log_ratio, out=log_ratio)
-        log_ratio /= np.maximum(self._p, 1.0 - self._p)
+        self._hi = np.maximum(p, 1.0 - p)
+        log_ratio = np.minimum(p, 1.0 - p)
+        log_ratio /= self._hi
         with np.errstate(divide="ignore"):
             np.log(log_ratio, out=log_ratio)
         self._log_ratio = log_ratio
@@ -203,30 +224,11 @@ class ExponentWithPadding:
         self.padding = float(padding)
         self._cache: dict[float, float] = {}
 
-    def seed_evaluator(self) -> "ExponentWithPadding":
-        """The same padded exponent on this law thinned to _SEED_POINTS points.
-
-        Cheap enough to search freely; nothing certified is read from it.
-        Returns self when the law is already that small.
-        """
-        law = _thinned(self._law, _SEED_POINTS)
-        return self if law is self._law else ExponentWithPadding(law, self.v, self.padding)
-
     def _mean_norm(self, t: float) -> float:
         """Weighted mean of the l_q norm of (p, 1-p) at q = 1/(1-t)."""
         q = 1.0 / (1.0 - t)
-        p = self._p
-        vals = np.empty_like(p)
         with np.errstate(under="ignore"):
-            for start in range(0, p.size, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                out = vals[block]
-                np.multiply(self._log_ratio[block], q, out=out)
-                np.exp(out, out=out)
-                np.log1p(out, out=out)
-                out /= q
-                np.exp(out, out=out)
-                out *= np.maximum(p[block], 1.0 - p[block])
+            vals = np.exp(np.log1p(np.exp(self._log_ratio * q)) / q) * self._hi
         return float(np.einsum("i,i->", self._ws, vals)) + self._tail
 
     def raw(self, t: float) -> float:
@@ -435,9 +437,7 @@ def sacrifice_length(phi: ExponentWithPadding, n: int, target_log2: float) -> in
     bound(m1) <= T holds iff t (n - m1) + n phi(t) <= T - log2 3 for some t,
     so the minimal m1 is ceil(n - max_t (T - log2 3 - n phi(t)) / t), one
     quasiconcave maximization. A bounded Brent search over t in [1e-9, 1/2]
-    to 1e-6 in t finds the argmax t^ on phi's seed evaluator (its law
-    thinned to at most _SEED_POINTS quadrature points), and one evaluation
-    of phi itself at t^ seeds m1. A two-point guard then checks
+    to 1e-6 in t seeds m1 from it. A two-point guard then checks
     bound(m1) <= T < bound(m1 - 1) on the full minimization of phi (the same
     Brent search, through minimize_exponent) and steps m1 by one while
     either check fails, so m1 does not depend on the seed's accuracy. The
@@ -445,13 +445,10 @@ def sacrifice_length(phi: ExponentWithPadding, n: int, target_log2: float) -> in
     serves that certificate without new evaluations.
     """
     target_prime = target_log2 - math.log2(3.0)
-
-    def margin(phi_fn, t: float) -> float:
-        return (target_prime - n * phi_fn(t)) / t
-
-    seed = phi.seed_evaluator()
-    t_hat, _ = _brent_bounded(lambda t: -margin(seed, t), 1e-9, 0.5, 1e-6)
-    m1 = max(0, min(n, math.ceil(n - margin(phi, t_hat))))
+    _, neg_margin = _brent_bounded(
+        lambda t: (n * phi(t) - target_prime) / t, 1e-9, 0.5, 1e-6
+    )
+    m1 = max(0, min(n, math.ceil(n + neg_margin)))
     while True:
         if _bound_at(phi, n, m1) > target_log2:
             m1 += 1

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gausskey import NoiseSpec
 from gausskey.protocol import STATUS_SUCCESS, ProtocolConfig, run_protocol
+from gausskey.secbounds import _GRID
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -61,3 +63,20 @@ def test_traced_run_records_every_layer(bench, weak_eve_params, weak_eve_noise, 
     _timings, counts = spans.layer_metrics(tracer.spans, {0})
     assert counts["secbounds.quad_points"] == 10_000  # 10^4 residual point masses
     assert counts["secbounds.phi_evals"] > 0
+
+
+def test_traced_smoothed_run_counts_the_grid_law(bench, reference_params, small_code):
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed(spans.program_targets()):
+        run_protocol(reference_params, NoiseSpec.gaussian(0.2), small_config(),
+                     np.random.default_rng(101), code=small_code)
+    names = {s.name for s in tracer.spans}
+    assert {"secbounds.build_certified_exponent", "secbounds.sacrifice_length"} <= names
+    _timings, counts = spans.layer_metrics(tracer.spans, {0})
+    # 10^4 smoothed residuals are 580 000 kernel points; every evaluation
+    # runs on the grid's edges instead
+    assert counts["secbounds.quad_points"] == _GRID + 1
+    assert 0 < counts["secbounds.phi_evals"] <= 31
+    assert counts["secbounds.quad_points_total"] == (_GRID + 1) * counts["secbounds.phi_evals"]

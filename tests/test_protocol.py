@@ -112,6 +112,28 @@ def test_cli_batch_runs_where_a_decoder_can_miss_bobs_codeword(
     assert out.converged_blocks == out.total_blocks == 8
 
 
+@pytest.fixture(scope="module")
+def weak_eve_inputs():
+    # the weak-eve-65536 bench workload's code and run seeds at workload seed 0
+    rng = np.random.default_rng([1, 0])
+    code = gallager_code(4096, 4, 8, np.random.default_rng(int(rng.integers(2**63))))
+    return code, int(rng.integers(1, 2**40))
+
+
+def test_weak_eve_run_with_an_undecodable_block_fails_verification(
+    weak_eve_params, weak_eve_noise, weak_eve_inputs
+):
+    # seed 1045045886274 (run 385): BP does not converge on one of the 16
+    # blocks, at 60 iterations or at 500; the tag comparison must catch the
+    # frame error and withhold both keys
+    code, seed_base = weak_eve_inputs
+    out = run_protocol(weak_eve_params, weak_eve_noise, demo_config(n=65536),
+                       np.random.default_rng(seed_base + 385), code=code)
+    assert out.status == STATUS_VERIFICATION_FAILED
+    assert out.bob_key is None
+    assert out.converged_blocks == 15 and out.total_blocks == 16
+
+
 def demo_alice_symbols(params, noise, seed):
     # reproduce the run's sampling: one seed draw precedes the channel use
     rng = np.random.default_rng(seed)

@@ -300,13 +300,13 @@ def test_from_bundle_prior_vanishes_for_symmetric_residuals():
     res = (-1.7, -0.9, -0.3, 0.3, 0.9, 1.7)
     bundle = EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
                             w_hat=5.0, l=6, epsilon=0.01, residuals=res)
-    chan = SoftChannel.from_bundle(bundle)
+    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
     assert chan.prior_log_ratio == pytest.approx(0.0, abs=1e-12)
     assert chan.c_hat == 1.0
+    empty = EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
+                           w_hat=5.0, l=6, epsilon=0.01)
     with pytest.raises(ValueError, match="no residuals"):
-        SoftChannel.from_bundle(
-            EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
-                           w_hat=5.0, l=6, epsilon=0.01))
+        SoftChannel.from_residuals(empty.c_hat, empty.residuals)
 
 
 def test_from_bundle_prior_uses_left_limit_at_a_residual():
@@ -319,7 +319,7 @@ def test_from_bundle_prior_uses_left_limit_at_a_residual():
                             w_hat=5.0, l=6, epsilon=0.01, residuals=res)
     cdf = EmpiricalCdf(points=res)
     z0 = float(np.dot(NORMAL_WEIGHTS, 1.0 - cdf.eval_left(-c_hat * NORMAL_NODES)))
-    chan = SoftChannel.from_bundle(bundle)
+    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
     assert chan.prior_log_ratio == pytest.approx(math.log(1.0 - z0) - math.log(z0),
                                                  abs=1e-12)
     # a run hands its one residual CDF to the channel: the same channel
@@ -424,7 +424,7 @@ def test_bp_decode_matches_dense_reference_on_weak_eve_blocks(
         weak_eve_params, weak_eve_noise, rng, 2 * l + blocks * code.n_code)
     bundle = estimate_moments(np.column_stack([alice[:l], bob[:l]]), 5e-5)
     bundle = residuals(np.column_stack([alice[l:2 * l], bob[l:2 * l]]), bundle)
-    chan = SoftChannel.from_bundle(bundle)
+    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
     bob_bits = (bob[2 * l:] < bundle.e_hat).astype(np.uint8)
     cases = []
     for k in range(blocks):
@@ -482,7 +482,7 @@ def test_reconcile_matches_at_operating_point(small_code):
         e_hat=0.0, v_hat=gain * gain + 0.35, c_hat=gain,
         v_ab_hat=3 * gain * gain + 0.35, w_hat=10.0, l=4000,
         epsilon=5e-5, residuals=tuple(res.tolist()))
-    chan = SoftChannel.from_bundle(bundle)
+    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
     matched = 0
     for _ in range(8):
         a = rng.normal(size=small_code.n_code)

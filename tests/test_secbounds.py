@@ -27,11 +27,12 @@ from gausskey.estimation import (
 from gausskey.gaussmodel import ChannelParams
 from gausskey.secbounds import (
     _BLOCK,
+    _EDGES,
+    _GRID,
     _KERNEL_KEPT,
     _KERNEL_NODES,
     _KERNEL_TAIL,
     _KERNEL_WEIGHTS,
-    _SEED_POINTS,
     MODIFIED_MUTUAL_INFO,
     VARIATIONAL_DISTANCE,
     AnalyticGaussian,
@@ -39,6 +40,7 @@ from gausskey.secbounds import (
     GaussianMixture,
     PointMasses,
     _brent_bounded,
+    _probe,
     build_certified_exponent,
     key_rate_symmetric,
     minimize_convex,
@@ -292,11 +294,16 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
     pad = 0.003
     ev = ExponentWithPadding(dist, v, pad)
     if name == "mixture":
-        # spans several kernel blocks and ends in a partial one
-        assert ev._p.size == 2300 * 58
-        assert ev._p.size > 2 * _BLOCK and ev._p.size % _BLOCK != 0
-        assert np.any(ev._p == 0.0) and np.any(ev._p == 1.0)
-        assert np.any(ev._p == 0.5)
+        # the law's 2300 * 58 points span several build blocks and end in a
+        # partial one; they land on the grid's edges
+        size = _probe(dist)[0].size
+        assert size == 2300 * 58
+        assert size > 2 * _BLOCK and size % _BLOCK != 0
+        assert ev._p is _EDGES
+        # the far kernels' nodes have u exactly 0 and the centred node
+        # u exactly 1/2: each puts all its weight on one end edge
+        assert ev._ws[0] >= 4 * math.fsum(_KERNEL_WEIGHTS) / 2300 * (1.0 - 1e-12)
+        assert ev._ws[_GRID] >= NORMAL_WEIGHTS[40] / 2300
     assert ev._tail == (_KERNEL_TAIL if name == "mixture" else 0.0)
     for t in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.9999):
         base = _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)) + ev._tail
@@ -314,7 +321,7 @@ from gausskey.secbounds import ExponentWithPadding, GaussianMixture, sign_entrop
 pts = np.random.default_rng(3).normal(0.0, 1.2, 2300)
 dist = GaussianMixture(points=tuple(pts.tolist()), stdev=0.4)
 ev = ExponentWithPadding(dist, 1.5, 0.0)
-assert ev._p.size >= 1 << 17
+assert ev._p.size == (1 << 14) + 1  # on the grid
 print(repr([ev.raw(t) for t in (1e-6, 0.01, 0.1, 0.3, 0.5)]), repr(sign_entropy(dist, 1.5)))
 """
 
@@ -615,7 +622,7 @@ def test_sacrifice_length_edges():
 
 
 def _sacrifice_length_full_seed(phi_fn, n, target_log2):
-    # reference: the same search with its Brent seed run on phi itself
+    # reference: the search written out, on any memoized phi
     target_prime = target_log2 - math.log2(3.0)
     _, neg = _brent_bounded(lambda t: -(target_prime - n * phi_fn(t)) / t, 1e-9, 0.5, 1e-6)
     m1 = max(0, min(n, math.ceil(n + neg)))
@@ -679,7 +686,7 @@ def test_exponent_base_adds_the_dropped_weight():
 
 @st.composite
 def _multi_block_mixtures(draw):
-    # more than _BLOCK kept-node points, so the kernel runs over several blocks
+    # more than _BLOCK kept-node points, so the grid build runs over several blocks
     size = draw(st.integers(min_value=_BLOCK // 58 + 1, max_value=3 * _BLOCK // 58))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     pts = np.random.default_rng(seed).normal(0.0, draw(st.floats(min_value=0.2, max_value=5.0)), size)
@@ -693,13 +700,61 @@ def _multi_block_mixtures(draw):
 @settings(max_examples=25, deadline=None)
 @given(case=_multi_block_mixtures())
 def test_kept_node_exponent_matches_full_node_oracle(case):
-    # the dropped nodes move 2^phi by at most the tail, 2^-11 of an ulp:
-    # what is left is the order of summation
+    # the dropped nodes move 2^phi by at most the tail, 2^-11 of an ulp, and
+    # the grid only raises it: below the oracle by no more than summation
+    # rounding
     law, v, padding, ts = case
     ev, oracle = ExponentWithPadding(law, v, padding), _FullNodeExponent(law, v, padding)
-    assert ev._p.size > _BLOCK
+    assert _probe(law)[0].size > _BLOCK
     for t in ts:
-        assert 2.0 ** ev(t) == pytest.approx(2.0 ** oracle(t), rel=1e-13, abs=0.0)
+        assert 2.0 ** ev(t) >= 2.0 ** oracle(t) * (1.0 - 1e-13)
+
+
+def _exact_and_jensen(law, v, ts):
+    # at each t: the exact kept-node mean, and the Jensen value that puts each
+    # bin's mass at the bin's weighted-mean u, from per-bin fsums; bins come
+    # from searchsorted, not from the build's rule
+    xs, ws, tail = _probe(law)
+    u = ndtr(-np.abs(xs) / math.sqrt(v))
+    j = np.minimum(np.searchsorted(_EDGES, u, side="right") - 1, _GRID - 1)
+    order = np.argsort(j, kind="stable")
+    cuts = np.flatnonzero(np.diff(j[order])) + 1
+    mass, centre = [], []
+    for w_b, u_b in zip(np.split(ws[order], cuts), np.split(u[order], cuts)):
+        mass.append(math.fsum(w_b))
+        centre.append(math.fsum(w_b * u_b) / mass[-1])
+    mass, centre = np.array(mass), np.array(centre)
+    return [(_two_pass_lq_mean(u, ws, 1.0 / (1.0 - t)) + tail,
+             _two_pass_lq_mean(centre, mass, 1.0 / (1.0 - t)) + tail) for t in ts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_multi_block_mixtures())
+def test_grid_exponent_is_a_tight_upper_bound(case):
+    law, v, _padding, ts = case
+    ev = ExponentWithPadding(law, v, 0.0)
+    assert ev._p is _EDGES
+    assert math.fsum(ev._ws) == pytest.approx(1.0 - _KERNEL_TAIL, abs=1e-12)
+    for t, (exact, jensen) in zip(ts, _exact_and_jensen(law, v, ts)):
+        grid = 2.0 ** ev.raw(t)
+        assert grid >= exact * (1.0 - 1e-13)
+        assert jensen <= exact * (1.0 + 1e-13)
+        assert math.log2(grid) - math.log2(exact) <= 1e-7
+
+
+def test_only_laws_above_the_grid_size_move_onto_it():
+    pts = tuple(np.linspace(-3.0, 3.0, _GRID + 1).tolist())
+    exact = ExponentWithPadding(PointMasses(pts[:_GRID]), 1.5, 0.0)
+    assert exact._p.tobytes() == ndtr(np.asarray(pts[:_GRID]) / math.sqrt(1.5)).tobytes()
+    gridded = ExponentWithPadding(PointMasses(pts), 1.5, 0.0)
+    assert gridded._p is _EDGES and gridded._tail == 0.0
+    assert math.fsum(gridded._ws) == pytest.approx(1.0, abs=1e-12)
+    # the chord split keeps the mean of u
+    u = ndtr(-np.abs(np.asarray(pts)) / math.sqrt(1.5))
+    assert math.fsum(gridded._ws * _EDGES) == pytest.approx(math.fsum(u) / u.size, rel=1e-12)
+    ts = (0.01, 0.3, 0.9)
+    for t, (exact_mean, _) in zip(ts, _exact_and_jensen(PointMasses(pts), 1.5, ts)):
+        assert 2.0 ** gridded.raw(t) >= exact_mean * (1.0 - 1e-13)
 
 
 @st.composite
@@ -731,74 +786,26 @@ def _outcome(search, phi, n, target):
         return str(exc)
 
 
-@st.composite
-def _thinned_laws(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    scale = draw(st.floats(min_value=0.3, max_value=2.0))
-    if draw(st.booleans()):
-        size = draw(st.integers(min_value=200, max_value=3_000))
-        pts = np.sort(np.random.default_rng(seed).normal(0.0, scale, size))
-        law = GaussianMixture(points=tuple(pts.tolist()),
-                              stdev=draw(st.floats(min_value=0.1, max_value=1.5)))
-    else:
-        size = draw(st.integers(min_value=_SEED_POINTS + 1, max_value=30_000))
-        pts = np.sort(np.random.default_rng(seed).normal(0.0, scale, size))
-        law = PointMasses(points=tuple(pts.tolist()))
-    v = draw(st.floats(min_value=0.2, max_value=3.0))
-    padding = draw(st.floats(min_value=0.0, max_value=0.05))
-    n = draw(st.integers(min_value=1_000, max_value=100_000))
-    target = draw(st.floats(min_value=-200.0, max_value=-5.0))
-    return law, v, padding, n, target
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=_thinned_laws())
-def test_thinned_seed_matches_full_seed(case):
-    law, v, padding, n, target = case
-    ev = ExponentWithPadding(law, v, padding)
-    assert ev.seed_evaluator() is not ev
-    expected = _outcome(_sacrifice_length_full_seed, ExponentWithPadding(law, v, padding), n, target)
-    assert _outcome(sacrifice_length, ev, n, target) == expected
-
-
-def test_seed_evaluator_is_self_on_small_laws():
-    for law in (AnalyticGaussian(1.2),
-                PointMasses(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS).tolist())),
-                GaussianMixture(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS // NORMAL_NODES.size).tolist()),
-                                stdev=0.5)):
-        ev = ExponentWithPadding(law, 1.5, 0.01)
-        assert ev.seed_evaluator() is ev
-
-
-@pytest.mark.parametrize("law", [
-    PointMasses(points=tuple(np.linspace(-3.0, 3.0, _SEED_POINTS + 1).tolist())),
-    GaussianMixture(points=tuple(np.linspace(-3.0, 3.0, 10_000).tolist()), stdev=0.5),
-])
-def test_seed_evaluator_thins_large_laws(law):
-    ev = ExponentWithPadding(law, 1.5, 0.01)
-    seed = ev.seed_evaluator()
-    assert (seed.v, seed.padding) == (ev.v, ev.padding)
-    assert _SEED_POINTS // 2 <= seed._p.size <= _SEED_POINTS
-    assert set(seed._law.points) < set(law.points)
-    if isinstance(law, GaussianMixture):
-        # g counts kept nodes: 10^4 kernels, g = ceil(10^4 / (10^4 // 58)) = 59,
-        # keep kernels 29, 88, ..., 9941 of 58 nodes each
-        assert seed._p.size == 169 * 58
-
-
-def test_thinned_seed_costs_one_full_evaluation():
-    # reference-workload shape: 10^4 smoothed residuals, 960k quadrature points
+def test_sacrifice_evaluates_only_the_grid_law(monkeypatch):
+    # reference-workload shape: 10^4 smoothed residuals, 580k kept-node points
     pts = np.sort(np.random.default_rng(17).normal(0.0, 1.1, 10_000))
     law = GaussianMixture(points=tuple(pts.tolist()), stdev=0.58)
     ev = ExponentWithPadding(law, 1.57, 0.042)
-    n, target = 16_384, -40.0
-    m1 = sacrifice_length(ev, n, target)
-    # the guard alone, on a fresh evaluator: bound(m1) and bound(m1 - 1)
-    guard = ExponentWithPadding(law, 1.57, 0.042)
-    for m in (m1, m1 - 1):
-        minimize_exponent(guard, n, m, VARIATIONAL_DISTANCE)
-    assert ev._cache.keys() > guard._cache.keys()
-    assert len(ev._cache.keys() - guard._cache.keys()) == 1  # the seed's t
+    sizes = []
+    mean_norm = ExponentWithPadding._mean_norm
+
+    def counted(self, t):
+        sizes.append(self._p.size)
+        return mean_norm(self, t)
+
+    def no_second_law(*args, **kwargs):
+        raise AssertionError("the search built another evaluator")
+
+    monkeypatch.setattr(ExponentWithPadding, "_mean_norm", counted)
+    monkeypatch.setattr(ExponentWithPadding, "__init__", no_second_law)
+    sacrifice_length(ev, 16_384, -40.0)
+    assert sizes == [_GRID + 1] * len(ev._cache.keys() - {0.0})
+    assert 0 < len(sizes) <= 31
 
 
 @pytest.mark.parametrize("l, n, target, expected", [

@@ -233,7 +233,7 @@ def _summary_row(rec: dict) -> list:
     ]
 
 
-def cmd_simulate(args: argparse.Namespace, emit_keys: bool) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     if args.runs < 1 or args.workers < 1:
         raise ScenarioError("runs and workers must be positive")
     scenario = load_scenario(args.scenario)
@@ -265,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace, emit_keys: bool) -> int:
         for rec in records:
             writer.writerow(_summary_row(rec))
 
-    if emit_keys:
+    if args.command == "keygen":
         key_dir = out_dir / "keys"
         key_dir.mkdir(exist_ok=True)
         for i, alice_hex, bob_hex in keys:
@@ -330,10 +330,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     bundle = estimate_moments(arr[:half], scenario.config.epsilon)
     bundle = residuals(arr[half : 2 * half], bundle)
     eve = estimate_eve_cdf(bundle, scenario.params)
-    if bundle.c_hat != 0:
-        kappa = ks_error_bound(bundle, scenario.config.epsilon)
-    else:
-        kappa = None
+    kappa = ks_error_bound(bundle) if bundle.c_hat != 0 else None
     report = {
         "l": bundle.l,
         "e_hat": bundle.e_hat,
@@ -378,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=1)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--emit-keys", action="store_true")
 
     rate = sub.add_parser("rate-curve", help="symmetric-geometry key rate CSV")
     rate.add_argument("--x-min", type=float, default=0.05)
@@ -409,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.command in ("simulate", "keygen"):
-            return cmd_simulate(args, emit_keys=args.command == "keygen" or args.emit_keys)
+            return cmd_simulate(args)
         if args.command == "rate-curve":
             return cmd_rate_curve(args)
         if args.command == "bound-curve":

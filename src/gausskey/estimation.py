@@ -98,15 +98,14 @@ class EstimateBundle:
     def complete(self) -> bool:
         return len(self.residuals) > 0
 
-    def underline_c(self, epsilon: float | None = None) -> float:
+    def underline_c(self) -> float:
         """Covariance magnitude |c_hat| shrunk by its confidence radius (conservative).
 
         Only |c_hat| carries the correlation: a negative gain flips Bob's
         bits against Alice's symbol, which reconciliation absorbs through
         the sign of c_hat. Negative when |c_hat| is inside the radius.
         """
-        eps = self.epsilon if epsilon is None else epsilon
-        return abs(self.c_hat) - math.sqrt(self.v_ab_hat) * two_sided_z(eps) / math.sqrt(self.l)
+        return abs(self.c_hat) - math.sqrt(self.v_ab_hat) * two_sided_z(self.epsilon) / math.sqrt(self.l)
 
     def confidence_intervals(self) -> dict[str, tuple[float, float]]:
         z = two_sided_z(self.epsilon)
@@ -129,11 +128,15 @@ class EveCdf:
     When the covariance signal exceeds Bob's own detector noise the residual
     law is smoothed by a Gaussian kernel of the excess stdev; otherwise the
     raw residual law is used together with the stronger reduction of Eve's
-    knowledge. The smoothed law itself is secbounds.GaussianMixture.
+    knowledge. The smoothed law itself is secbounds.GaussianMixture. A
+    zero stdev is the identity kernel: the raw branch.
     """
 
     smoothing_stdev: float
-    smoothed: bool
+
+    @property
+    def smoothed(self) -> bool:
+        return self.smoothing_stdev > 0
 
 
 def _sample_pairs(samples) -> np.ndarray:
@@ -259,9 +262,7 @@ def estimate_eve_cdf(bundle: EstimateBundle, params) -> EveCdf:
     if not bundle.complete:
         raise ValueError("bundle has no residuals; run the second estimation round")
     excess, _ = listener_geometry(params, bundle.c_hat**2)
-    if excess > 0:
-        return EveCdf(smoothing_stdev=math.sqrt(excess), smoothed=True)
-    return EveCdf(smoothing_stdev=0.0, smoothed=False)
+    return EveCdf(smoothing_stdev=math.sqrt(excess) if excess > 0 else 0.0)
 
 
 def ks_distance(cdf, ecdf: EmpiricalCdf) -> float:
@@ -284,8 +285,9 @@ def ks_distance(cdf, ecdf: EmpiricalCdf) -> float:
     return float(gaps.max())
 
 
-def ks_error_bound(bundle: EstimateBundle, epsilon: float) -> float:
-    """Composed bound on the CDF estimation error, confidence about 1-2eps.
+def ks_error_bound(bundle: EstimateBundle) -> float:
+    """Composed bound on the CDF estimation error, confidence about 1-2eps
+    at the bundle's epsilon.
 
     First term: confidence radius of the covariance estimate propagated
     through the steepest slope of a Gaussian CDF. Second term: sup-distance
@@ -299,10 +301,10 @@ def ks_error_bound(bundle: EstimateBundle, epsilon: float) -> float:
     l_res = len(bundle.residuals) if bundle.complete else bundle.l
     first = (
         math.sqrt(bundle.v_ab_hat)
-        * two_sided_z(epsilon)
+        * two_sided_z(bundle.epsilon)
         / (math.sqrt(2.0 * math.pi * math.e) * abs(bundle.c_hat) * math.sqrt(bundle.l))
     )
-    second = kolmogorov_quantile(1.0 - epsilon) / math.sqrt(l_res)
+    second = kolmogorov_quantile(1.0 - bundle.epsilon) / math.sqrt(l_res)
     return first + second
 
 

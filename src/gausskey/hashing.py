@@ -195,14 +195,9 @@ def collision_probability(input_len: int, output_len: int) -> float:
     return worst
 
 
-def verification_tag(key: BitString, seed: ToeplitzSeed, tag_len: int) -> BitString:
-    """Short universal-hash tag for equality verification of two keys."""
-    if tag_len > key.length:
-        raise ValueError("tag cannot be longer than the key")
-    if tag_len == 0:
-        return BitString.zeros(0)
-    if seed.input_len != key.length or seed.output_len != tag_len:
-        raise ValueError("seed dimensions do not match key/tag lengths")
+def verification_tag(key: BitString, seed: ToeplitzSeed) -> BitString:
+    """Short universal-hash tag of seed.output_len bits for equality
+    verification of two keys of seed.input_len bits."""
     return toeplitz_hash(seed, key)
 
 

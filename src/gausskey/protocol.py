@@ -10,7 +10,7 @@ the Transcript, which is sufficient for Alice to replay her side bit for bit.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,22 +203,18 @@ def certify(
 ) -> tuple[SecurityCertificate, SecurityCertificate]:
     """Both leakage certificates at the chosen sacrifice length.
 
-    The reported confidence composes the two estimation-interval failures;
-    with authentication enabled the per-message forgery bound joins in.
+    Each carries phi's padding, the shrunk covariance and the confidence,
+    all at the bundle's epsilon. The reported confidence composes the two
+    estimation-interval failures; with authentication enabled the
+    per-message forgery bound joins in.
     """
     confidence = 1.0 - 2.0 * bundle.epsilon
     if config.k_auth > 0 and message_count > 0:
         confidence -= auth_failure_prob(message_count, config.k_auth)
-    confidence = max(confidence, 0.0)
-    uc = bundle.underline_c()
-    dist = minimize_exponent(
-        phi, config.n, m1, VARIATIONAL_DISTANCE,
-        padding=phi.padding, shrunk_param=uc, confidence=confidence,
-    )
-    info = minimize_exponent(
-        phi, config.n, m1, MODIFIED_MUTUAL_INFO,
-        padding=phi.padding, shrunk_param=uc, confidence=confidence,
-    )
+    extra = dict(padding=phi.padding, shrunk_param=bundle.underline_c(),
+                 confidence=max(confidence, 0.0))
+    dist = replace(minimize_exponent(phi, config.n, m1, VARIATIONAL_DISTANCE), **extra)
+    info = replace(minimize_exponent(phi, config.n, m1, MODIFIED_MUTUAL_INFO), **extra)
     return dist, info
 
 
@@ -235,14 +231,11 @@ def run_protocol(
     noise: NoiseSpec,
     config: ProtocolConfig,
     rng: np.random.Generator,
-    inject_alice_bit_flips: int = 0,
     code: LinearCode | None = None,
 ) -> ProtocolOutcome:
     """One full protocol run against a simulated channel.
 
-    inject_alice_bit_flips corrupts Alice's reconciled word before hashing,
-    for exercising the verification step. A preloaded code skips the alist
-    parse when many runs share one.
+    A preloaded code skips the alist parse when many runs share one.
     """
     if code is None:
         code = load_alist(config.code_path)
@@ -280,7 +273,7 @@ def run_protocol(
 
     eve = estimate_eve_cdf(bundle, params)
     try:
-        phi = build_certified_exponent(bundle, eve, params, config.epsilon)
+        phi = build_certified_exponent(bundle, eve, params)
     except ValueError as exc:
         return _abort(str(exc), mutual_info_estimate=mi_estimate)
 
@@ -321,11 +314,6 @@ def run_protocol(
 
     bob_word = _concat_bits(bob_blocks)
     alice_word = _concat_bits(alice_blocks)
-    if inject_alice_bit_flips > 0:
-        flips = rng.choice(config.n, size=inject_alice_bit_flips, replace=False)
-        bits = alice_word.to_bits()
-        bits[flips] ^= 1
-        alice_word = BitString.from_bits(bits)
 
     n2 = dim_total - m1
     pa_seed = int(rng.integers(_SEED_BOUND))
@@ -336,8 +324,8 @@ def run_protocol(
     verify_seed = int(rng.integers(_SEED_BOUND))
     if config.m2 > 0:
         vseed = ToeplitzSeed.random(np.random.default_rng(verify_seed), n2, config.m2)
-        bob_tag = verification_tag(bob_key, vseed, config.m2)
-        alice_tag = verification_tag(alice_key, vseed, config.m2)
+        bob_tag = verification_tag(bob_key, vseed)
+        alice_tag = verification_tag(alice_key, vseed)
     else:
         bob_tag = alice_tag = BitString.zeros(0)  # verification disabled
 

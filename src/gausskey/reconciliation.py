@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 LLR_CLAMP = 40.0  # near-deterministic symbols saturate here
+BP_ITERATIONS = 60  # flooding iterations before bp_decode gives up
 
 
 class LinearCode:
@@ -235,10 +236,9 @@ class SoftChannel:
         return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
 
 
-def bp_decode(
-    code: LinearCode, llrs, max_iters: int = 60
-) -> tuple[BitString, bool]:
-    """Sum-product decoding; converged means every parity check passed.
+def bp_decode(code: LinearCode, llrs) -> tuple[BitString, bool]:
+    """Sum-product decoding for up to BP_ITERATIONS iterations; converged
+    means every parity check passed.
 
     Non-convergence is not an error: downstream verification catches any
     residual mismatch. Infinite LLRs saturate at the clamp; NaN raises.
@@ -256,7 +256,7 @@ def bp_decode(
     if ok:
         return BitString.from_bits(hard), True
     tiny = 1e-12
-    for _ in range(max_iters):
+    for _ in range(BP_ITERATIONS):
         t = np.tanh(0.5 * msg_vc)
         mag = np.clip(np.abs(t), tiny, 1.0 - 1e-12)
         neg = (t < 0).astype(np.int64)

@@ -198,7 +198,11 @@ class ExponentWithPadding:
     one (a smoothed mixture) is moved once onto the _GRID + 1 edges, with
     the chord weights of _edge_weights: the norm is convex in
     u = min(p, 1-p), so the edge mean bounds the exact one from above at
-    every t, and each call costs O(_GRID) whatever the law's size.
+    every t, and each call costs O(_GRID) whatever the law's size. The edge
+    weights are rounded sums of the N points' split weights: they may lose
+    up to N * 2^-53 of mass, the first-order bound on recursive summation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    4.2). Every integrand is at most 1, so that allowance joins the tail.
     """
 
     def __init__(self, dist, v: float, padding: float):
@@ -209,6 +213,7 @@ class ExponentWithPadding:
         xs, ws, tail = _probe(dist)
         if xs.size > _GRID:
             p, ws = _EDGES, _edge_weights(xs, ws, v)
+            tail += xs.size * 2.0**-53
         else:
             p = ndtr(xs / math.sqrt(v))
         self._p = p
@@ -252,28 +257,25 @@ class ExponentWithPadding:
         return val
 
 
-def _padded_exponent(
-    bundle: EstimateBundle, law, smoothed: bool, params, epsilon: float
-) -> ExponentWithPadding:
+def _padded_exponent(bundle: EstimateBundle, law, smoothed: bool, params) -> ExponentWithPadding:
     """Padded exponent of Eve's law, conservative against estimation error.
 
     The covariance magnitude is shrunk by its confidence radius before it
     enters the conditional variance (smaller variance never understates the
     exponent), and the CDF estimation error bound is added inside the
-    exponential. A smoothed law conditions on Eve's condensed view.
+    exponential; both at the bundle's epsilon. A smoothed law conditions on
+    Eve's condensed view.
     """
-    uc = bundle.underline_c(epsilon)
+    uc = bundle.underline_c()
     if uc <= 0:
         raise ValueError("insufficient correlation for certification")
-    pad = ks_error_bound(bundle, epsilon)
+    pad = ks_error_bound(bundle)
     v = listener_geometry(params, uc * uc)[1] if smoothed else uc * uc
     return ExponentWithPadding(law, v, pad)
 
 
-def build_certified_exponent(
-    bundle: EstimateBundle, eve: EveCdf, params, epsilon: float
-) -> ExponentWithPadding:
-    """Padded exponent from live estimates.
+def build_certified_exponent(bundle: EstimateBundle, eve: EveCdf, params) -> ExponentWithPadding:
+    """Padded exponent from live estimates, at the bundle's epsilon.
 
     Eve's law is the residual sample, convolved with the smoothing kernel
     when eve.smoothed.
@@ -284,7 +286,7 @@ def build_certified_exponent(
         law = GaussianMixture(points=bundle.residuals, stdev=eve.smoothing_stdev)
     else:
         law = PointMasses(points=bundle.residuals)
-    return _padded_exponent(bundle, law, eve.smoothed, params, epsilon)
+    return _padded_exponent(bundle, law, eve.smoothed, params)
 
 
 def reference_exponent_evaluator(
@@ -305,7 +307,7 @@ def reference_exponent_evaluator(
     )
     excess, _ = listener_geometry(params, c * c)
     law = AnalyticGaussian(injected_variance + params.bob_noise**2 + max(excess, 0.0))
-    return _padded_exponent(expected, law, excess > 0, params, epsilon)
+    return _padded_exponent(expected, law, excess > 0, params)
 
 
 def _brent_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -386,15 +388,7 @@ def minimize_convex(f, lo: float, hi: float) -> tuple[float, float]:
     return min(inner, (lo, checked(lo)), (hi, checked(hi)), key=lambda p: p[1])
 
 
-def minimize_exponent(
-    phi_fn,
-    n: int,
-    m1: int,
-    criterion: str,
-    padding: float = 0.0,
-    shrunk_param: float = float("nan"),
-    confidence: float | None = None,
-) -> SecurityCertificate:
+def minimize_exponent(phi_fn, n: int, m1: int, criterion: str) -> SecurityCertificate:
     """Minimize the leaked-information exponent over its order parameter.
 
     variational-distance: min over [0, 1/2] of t(n - m1) + n phi(t), bound
@@ -402,7 +396,8 @@ def minimize_exponent(
     minus log2(s), searched over (0, 1) clipped away from the endpoints
     where 1/s blows up. Both go through minimize_convex, which raises on a
     non-finite phi. Any t gives a valid bound, so the search's accuracy
-    moves only tightness.
+    moves only tightness. The certificate's padding, shrunk parameter and
+    confidence keep their defaults; protocol.certify sets them.
     """
     if not (0 <= m1 <= n):
         raise ValueError("need 0 <= m1 <= n")
@@ -415,16 +410,7 @@ def minimize_exponent(
         s_star, bound = minimize_convex(obj, 1e-4, 1.0 - 1e-4)
     else:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    return SecurityCertificate(
-        criterion=criterion,
-        s_star=s_star,
-        log2_bound=bound,
-        n=n,
-        m1=m1,
-        padding=padding,
-        shrunk_param=shrunk_param,
-        confidence=confidence,
-    )
+    return SecurityCertificate(criterion=criterion, s_star=s_star, log2_bound=bound, n=n, m1=m1)
 
 
 def _bound_at(phi_fn, n: int, m1: int) -> float:

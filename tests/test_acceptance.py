@@ -295,8 +295,8 @@ def test_06_end_to_end(capsys, reference_params, weak_eve_params,
         error[rng.choice(200, size=int(rng.integers(1, 8)), replace=False)] = 1
         key_b = key_a ^ BitString.from_bits(error)
         seed = ToeplitzSeed.random(rng, 200, 64)
-        undetected += (verification_tag(key_a, seed, 64)
-                       == verification_tag(key_b, seed, 64))
+        undetected += (verification_tag(key_a, seed)
+                       == verification_tag(key_b, seed))
 
     elapsed = time.perf_counter() - start
     ok = (successes >= 95 and leak > uncertainty and ref_keys == 0

@@ -77,7 +77,7 @@ def test_parallel_workers_match_serial(tmp_path, small_code_path):
             == (tmp_path / "pooled" / "summary.csv").read_bytes())
 
 
-def test_keygen_and_emit_keys_write_matching_hex(tmp_path, small_code_path):
+def test_keygen_writes_matching_hex(tmp_path, small_code_path):
     scen = write_scenario(tmp_path, small_code_path)
     out = tmp_path / "kg"
     assert main(["keygen", "--scenario", scen, "--runs", "1",
@@ -88,10 +88,14 @@ def test_keygen_and_emit_keys_write_matching_hex(tmp_path, small_code_path):
     key_len = int(read_summary(out)[1][2])
     assert len(alice) == (key_len + 3) // 4
 
-    out2 = tmp_path / "sim-keys"
+    # simulate makes the same runs and writes no keys; it has no flag for them
+    out2 = tmp_path / "sim"
     assert main(["simulate", "--scenario", scen, "--runs", "1",
-                 "--out", str(out2), "--emit-keys"]) == 0
-    assert (out2 / "keys" / "run_0_bob.hex").read_text() == bob + "\n"
+                 "--out", str(out2)]) == 0
+    assert (out2 / "runs.jsonl").read_bytes() == (out / "runs.jsonl").read_bytes()
+    assert not (out2 / "keys").exists()
+    assert main(["simulate", "--scenario", scen, "--runs", "1",
+                 "--out", str(out2), "--emit-keys"]) == 2
 
 
 def test_exit_one_when_every_run_aborts(tmp_path, small_code_path, capsys):

@@ -255,7 +255,7 @@ def test_convolution_is_a_sup_contraction():
 
 def test_ks_error_bound_formula():
     bundle = make_bundle()
-    got = ks_error_bound(bundle, EPS)
+    got = ks_error_bound(bundle)
     want = (
         math.sqrt(7.2) * two_sided_z(EPS)
         / (math.sqrt(2 * math.pi * math.e) * math.sqrt(2.0) * math.sqrt(500_000))
@@ -263,16 +263,16 @@ def test_ks_error_bound_formula():
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(5.88846685e-3, abs=1e-8)  # frozen plug-in oracle
     # doubling l shrinks both terms by sqrt(2)
-    assert ks_error_bound(make_bundle(l=1_000_000), EPS) == pytest.approx(
+    assert ks_error_bound(make_bundle(l=1_000_000)) == pytest.approx(
         want / math.sqrt(2.0), rel=1e-9
     )
     with pytest.raises(ValueError):
-        ks_error_bound(make_bundle(c_hat=0.0), EPS)
+        ks_error_bound(make_bundle(c_hat=0.0))
 
 
 def test_ks_error_bound_uses_residual_count_when_present():
     with_res = make_bundle(residuals=tuple(np.linspace(-1, 1, 2000)))
-    got = ks_error_bound(with_res, EPS)
+    got = ks_error_bound(with_res)
     first = (
         math.sqrt(7.2) * two_sided_z(EPS)
         / (math.sqrt(2 * math.pi * math.e) * math.sqrt(2.0) * math.sqrt(500_000))
@@ -304,13 +304,15 @@ def test_confidence_intervals_and_underline(reference_params):
     assert lo < bundle.c_hat < hi
     assert bundle.underline_c() == pytest.approx(lo)
     # underline shrinks toward zero as epsilon shrinks
-    assert bundle.underline_c(1e-9) < bundle.underline_c(1e-3) < bundle.c_hat
+    assert (make_bundle(epsilon=1e-9).underline_c()
+            < make_bundle(epsilon=1e-3).underline_c() < bundle.c_hat)
 
 
 def test_underline_c_shrinks_the_covariance_magnitude():
     # a negative gain carries the same correlation as a positive one
-    for eps in (None, 1e-3, 1e-9):
-        assert make_bundle(c_hat=-math.sqrt(2.0)).underline_c(eps) == make_bundle().underline_c(eps)
+    for eps in (EPS, 1e-3, 1e-9):
+        assert (make_bundle(c_hat=-math.sqrt(2.0), epsilon=eps).underline_c()
+                == make_bundle(epsilon=eps).underline_c())
     # inside the confidence radius nothing is certified, whatever the sign
     assert make_bundle(c_hat=1e-3).underline_c() < 0
     assert make_bundle(c_hat=-1e-3).underline_c() == make_bundle(c_hat=1e-3).underline_c()

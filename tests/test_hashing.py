@@ -272,7 +272,7 @@ def test_tag_collision_rate_at_security_level():
     collisions = 0
     for _ in range(trials):
         seed = ToeplitzSeed.random(rng, 100, 8)
-        if verification_tag(key_a, seed, 8) == verification_tag(key_b, seed, 8):
+        if verification_tag(key_a, seed) == verification_tag(key_b, seed):
             collisions += 1
     p = 2.0 ** -8
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -284,13 +284,17 @@ def test_tag_collision_rate_at_security_level():
 def test_verification_tag_contract():
     rng = np.random.default_rng(8)
     key = BitString.random(rng, 64)
-    assert len(verification_tag(key, ToeplitzSeed.random(rng, 64, 8), 0)) == 0
-    with pytest.raises(ValueError, match="longer than the key"):
-        verification_tag(key, ToeplitzSeed.random(rng, 64, 8), 65)
-    with pytest.raises(ValueError, match="dimensions"):
-        verification_tag(key, ToeplitzSeed.random(rng, 64, 8), 16)
-    with pytest.raises(ValueError, match="dimensions"):
-        verification_tag(key, ToeplitzSeed.random(rng, 63, 8), 8)
+    # the tag is the seed's hash of the key, seed.output_len bits long
+    seed = ToeplitzSeed.random(rng, 64, 8)
+    assert verification_tag(key, seed) == toeplitz_hash(seed, key)
+    assert len(verification_tag(key, seed)) == 8
+    # no seed gives an empty tag or one longer than the key
+    with pytest.raises(ValueError, match="output_len"):
+        ToeplitzSeed.random(rng, 64, 0)
+    with pytest.raises(ValueError, match="output_len"):
+        ToeplitzSeed.random(rng, 64, 65)
+    with pytest.raises(ValueError, match="input must have 63 bits"):
+        verification_tag(key, ToeplitzSeed.random(rng, 63, 8))
 
 
 def test_auth_failure_prob():

@@ -1,14 +1,18 @@
 import dataclasses
 import json
 import math
+from contextlib import nullcontext
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausskey import protocol
 from gausskey.estimation import EstimateBundle, two_sided_z
 from gausskey.gaussmodel import ChannelParams, NoiseSpec, sample_rounds
+from gausskey.hashing import BitString
 from gausskey.protocol import (
     STATUS_ABORTED,
     STATUS_SUCCESS,
@@ -19,7 +23,7 @@ from gausskey.protocol import (
     replay_alice,
     run_protocol,
 )
-from gausskey.reconciliation import gallager_code
+from gausskey.reconciliation import gallager_code, reconcile
 from gausskey.secbounds import MODIFIED_MUTUAL_INFO, VARIATIONAL_DISTANCE
 
 TARGET = -40.0
@@ -32,13 +36,21 @@ def demo_config(**kw):
     return ProtocolConfig(**base)
 
 
-def run_demo(weak_eve_params, weak_eve_noise, small_code, seed, **kw):
-    flips = kw.pop("inject_alice_bit_flips", 0)
-    return run_protocol(
-        weak_eve_params, weak_eve_noise, demo_config(**kw),
-        np.random.default_rng(seed), inject_alice_bit_flips=flips,
-        code=small_code,
-    )
+def run_demo(weak_eve_params, weak_eve_noise, small_code, seed, flips=0, **kw):
+    """One run at the demo geometry; flips > 0 flips the first `flips` bits
+    of each of Alice's reconciled blocks, to exercise verification."""
+
+    def reconcile_then_flip(*args):
+        bob_cw, alice_cw, shift = reconcile(*args)
+        bits = alice_cw.to_bits()
+        bits[:flips] ^= 1
+        return bob_cw, BitString.from_bits(bits), shift
+
+    with patch.object(protocol, "reconcile", reconcile_then_flip) if flips else nullcontext():
+        return run_protocol(
+            weak_eve_params, weak_eve_noise, demo_config(**kw),
+            np.random.default_rng(seed), code=small_code,
+        )
 
 
 # ---------------------------------------------------------------- happy path
@@ -54,8 +66,18 @@ def test_run_succeeds_at_demo_geometry(weak_eve_params, weak_eve_noise, small_co
     assert out.mutual_info_estimate > small_code.rate
 
 
-def test_certificates_meet_target(weak_eve_params, weak_eve_noise, small_code):
+def test_certificates_meet_target(weak_eve_params, weak_eve_noise, small_code,
+                                  monkeypatch):
+    built = []
+    build = protocol.build_certified_exponent
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "build_certified_exponent", recording_build)
     out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
+    [phi] = built
     dist, info = out.certificates
     assert dist.criterion == VARIATIONAL_DISTANCE
     assert info.criterion == MODIFIED_MUTUAL_INFO
@@ -65,6 +87,9 @@ def test_certificates_meet_target(weak_eve_params, weak_eve_noise, small_code):
     assert info.log2_bound < 0.0
     assert dist.m1 == out.transcript.m1
     assert dist.padding > 0.0
+    # certify decorates both certificates with the run's own padding
+    assert dist.padding == info.padding == phi.padding
+    assert dist.shrunk_param == info.shrunk_param > 0.0
     # both interval failures compose into the reported confidence
     assert dist.confidence == pytest.approx(1.0 - 2.0 * 5e-5)
 
@@ -240,8 +265,7 @@ def test_abort_when_override_exceeds_block(weak_eve_params, weak_eve_noise,
 # -------------------------------------------------------------- verification
 
 def test_injected_faults_are_caught(weak_eve_params, weak_eve_noise, small_code):
-    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101,
-                   inject_alice_bit_flips=40)
+    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101, flips=40)
     assert out.status == STATUS_VERIFICATION_FAILED
     assert out.bob_key is None and out.alice_key is None
     assert len(out.certificates) == 2  # leakage bounds survive the failure
@@ -255,8 +279,7 @@ def test_zero_tag_length_disables_verification(weak_eve_params, weak_eve_noise,
     assert clean.bob_key == clean.alice_key
     assert clean.transcript.bob_tag_hex == ""
     # with no tags a corrupted run still reports success; keys disagree
-    bad = run_demo(weak_eve_params, weak_eve_noise, small_code, 103, m2=0,
-                   inject_alice_bit_flips=3)
+    bad = run_demo(weak_eve_params, weak_eve_noise, small_code, 103, m2=0, flips=3)
     assert bad.status == STATUS_SUCCESS
     assert bad.bob_key != bad.alice_key
 

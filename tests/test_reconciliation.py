@@ -17,6 +17,7 @@ from gausskey.estimation import (
 from gausskey.gaussmodel import sample_rounds
 from gausskey.hashing import BitString
 from gausskey.reconciliation import (
+    BP_ITERATIONS,
     LLR_CLAMP,
     LinearCode,
     SoftChannel,
@@ -343,7 +344,7 @@ def test_bp_decode_noiseless_converges_immediately(small_code):
 def test_bp_decode_reports_nonconvergence():
     # a single check fed two contradicting saturated beliefs has no fix
     code = LinearCode(2, [[0, 1]])
-    word, converged = bp_decode(code, np.array([40.0, -40.0]), max_iters=30)
+    word, converged = bp_decode(code, np.array([40.0, -40.0]))
     assert not converged
     assert code.syndrome_of(word).to_bits().any()
 
@@ -375,7 +376,7 @@ def test_bp_decode_rejects_nan_and_clamps_inf():
     assert bp_decode(code, infinite) == bp_decode(code, clamped)
 
 
-def _bp_decode_dense(code: LinearCode, llrs, max_iters: int = 60):
+def _bp_decode_dense(code: LinearCode, llrs):
     # reference decoder: the same sum-product updates, with every stop test
     # taken from the dense packed-row syndrome; also returns the test count
     rows = _pack_rows(code.check_cols, code.n_code)
@@ -392,7 +393,7 @@ def _bp_decode_dense(code: LinearCode, llrs, max_iters: int = 60):
     if satisfied(hard):
         return BitString.from_bits(hard), True, len(tests)
     tiny = 1e-12
-    for _ in range(max_iters):
+    for _ in range(BP_ITERATIONS):
         t = np.tanh(0.5 * msg_vc)
         mag = np.clip(np.abs(t), tiny, 1.0 - 1e-12)
         neg = (t < 0).astype(np.int64)

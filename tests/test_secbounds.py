@@ -304,7 +304,10 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
         # u exactly 1/2: each puts all its weight on one end edge
         assert ev._ws[0] >= 4 * math.fsum(_KERNEL_WEIGHTS) / 2300 * (1.0 - 1e-12)
         assert ev._ws[_GRID] >= NORMAL_WEIGHTS[40] / 2300
-    assert ev._tail == (_KERNEL_TAIL if name == "mixture" else 0.0)
+        # the grid law's tail adds the summation allowance, 2^-53 per point
+        assert ev._tail == _KERNEL_TAIL + size * 2.0**-53
+    else:
+        assert ev._tail == 0.0
     for t in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.9999):
         base = _two_pass_lq_mean(ev._p, ev._ws, 1.0 / (1.0 - t)) + ev._tail
         assert ev.raw(t) == math.log2(base)
@@ -366,8 +369,8 @@ def test_build_certified_exponent_smoothed_branch_variance():
     bundle = reference_bundle(res)
     eve = estimate_eve_cdf(bundle, params)
     assert eve.smoothed
-    ev = build_certified_exponent(bundle, eve, params, EPS)
-    uc = bundle.underline_c(EPS)
+    ev = build_certified_exponent(bundle, eve, params)
+    uc = bundle.underline_c()
     # projected eve fraction is 1/3 at this geometry; detector noise re-enters
     assert ev.v == pytest.approx(uc * uc / 3.0 + 1.0, rel=1e-12)
     g2, s2 = params.eve_gain**2, params.eve_noise**2
@@ -384,8 +387,8 @@ def test_build_certified_exponent_raw_branch_variance():
                             w_hat=30.0, l=200_000, epsilon=EPS, residuals=res)
     eve = estimate_eve_cdf(bundle, params)
     assert not eve.smoothed
-    ev = build_certified_exponent(bundle, eve, params, EPS)
-    uc = bundle.underline_c(EPS)
+    ev = build_certified_exponent(bundle, eve, params)
+    uc = bundle.underline_c()
     assert ev.v == uc * uc
 
 
@@ -396,7 +399,7 @@ def test_build_certified_exponent_rejects_weak_correlation():
     bundle = reference_bundle((-0.1, 0.0, 0.1), l=20)  # huge confidence radius
     eve = estimate_eve_cdf(bundle, params)
     with pytest.raises(ValueError, match="insufficient correlation"):
-        build_certified_exponent(bundle, eve, params, EPS)
+        build_certified_exponent(bundle, eve, params)
 
 
 @pytest.mark.parametrize("geometry, injected, smoothed", [
@@ -445,14 +448,13 @@ def test_reference_evaluator_tracks_certified_build():
     rng = np.random.default_rng(11)
     res = tuple(np.sort(rng.normal(scale=math.sqrt(1.2), size=50_000)).tolist())
     bundle = reference_bundle(res)
-    live = build_certified_exponent(bundle, estimate_eve_cdf(bundle, params),
-                                    params, EPS)
+    live = build_certified_exponent(bundle, estimate_eve_cdf(bundle, params), params)
     assert live.v == pytest.approx(ref.v, rel=1e-12)
     for t in (0.05, 0.2, 0.4):
         assert live.raw(t) == pytest.approx(ref.raw(t), abs=2e-3)
     # padded values differ only through the smaller residual sample: the CDF
     # error term scales with the residual count, not the moment count
-    assert live.padding == ks_error_bound(bundle, EPS)
+    assert live.padding == ks_error_bound(bundle)
     assert live.padding > ref.padding
 
 
@@ -567,15 +569,14 @@ def test_minimize_exponent_beats_a_grid(criterion, name):
 
 def test_minimize_exponent_certificate_fields():
     ev = ExponentWithPadding(AnalyticGaussian(1.2), 5.0 / 3.0, 1e-3)
-    cert = minimize_exponent(ev, 4096, 1024, VARIATIONAL_DISTANCE,
-                             padding=ev.padding, shrunk_param=ev.v,
-                             confidence=0.9999)
+    cert = minimize_exponent(ev, 4096, 1024, VARIATIONAL_DISTANCE)
     assert cert.criterion == VARIATIONAL_DISTANCE
     assert cert.n == 4096 and cert.m1 == 1024
-    assert cert.padding == 1e-3
-    assert cert.shrunk_param == ev.v
-    assert cert.confidence == 0.9999
     assert 0.0 <= cert.s_star <= 0.5
+    # protocol.certify, not the minimization, decorates a certificate
+    assert cert.padding == 0.0
+    assert math.isnan(cert.shrunk_param)
+    assert cert.confidence is None
 
 
 def test_bound_improves_with_sacrifice():
@@ -742,12 +743,27 @@ def test_grid_exponent_is_a_tight_upper_bound(case):
         assert math.log2(grid) - math.log2(exact) <= 1e-7
 
 
+def test_grid_allows_for_the_mass_its_sums_round_away():
+    # a two-block law whose edge weights sum 1.29e-13 short of
+    # 1 - _KERNEL_TAIL: without the N * 2^-53 allowance in the tail the grid
+    # reads below the exact mean at t = 1e-9, by -2.06e-13 in log2
+    pts = np.random.default_rng(0).normal(0.0, 3.0, 1211)
+    law = GaussianMixture(points=tuple(pts.tolist()), stdev=2.0)
+    ev = ExponentWithPadding(law, 0.25, 0.0)
+    lost = (1.0 - _KERNEL_TAIL) - math.fsum(ev._ws)
+    assert 1e-13 < lost <= 1211 * 58 * 2.0**-53
+    [(exact, _)] = _exact_and_jensen(law, 0.25, [1e-9])
+    grid = 2.0 ** ev.raw(1e-9)
+    assert grid >= exact * (1.0 - 1e-13)
+    assert math.log2(grid) - math.log2(exact) <= 1e-7
+
+
 def test_only_laws_above_the_grid_size_move_onto_it():
     pts = tuple(np.linspace(-3.0, 3.0, _GRID + 1).tolist())
     exact = ExponentWithPadding(PointMasses(pts[:_GRID]), 1.5, 0.0)
     assert exact._p.tobytes() == ndtr(np.asarray(pts[:_GRID]) / math.sqrt(1.5)).tobytes()
     gridded = ExponentWithPadding(PointMasses(pts), 1.5, 0.0)
-    assert gridded._p is _EDGES and gridded._tail == 0.0
+    assert gridded._p is _EDGES and gridded._tail == (_GRID + 1) * 2.0**-53
     assert math.fsum(gridded._ws) == pytest.approx(1.0, abs=1e-12)
     # the chord split keeps the mean of u
     u = ndtr(-np.abs(np.asarray(pts)) / math.sqrt(1.5))

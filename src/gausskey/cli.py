@@ -247,18 +247,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     records: list[dict] = []
     keys: list[tuple[int, str | None, str | None]] = []
     parallel = args.workers > 1
-    with ProcessPoolExecutor(max_workers=args.workers) if parallel else nullcontext() as pool:
+    # runs.jsonl takes each record as its run finishes, so a crash keeps the
+    # runs before it
+    with (
+        ProcessPoolExecutor(max_workers=args.workers) if parallel else nullcontext() as pool,
+        open(out_dir / "runs.jsonl", "w", encoding="utf-8") as runs_fh,
+    ):
         run_map = pool.map if parallel else map
         for i, (rec, alice_hex, bob_hex) in enumerate(
             run_map(partial(_run_one, scenario), range(args.runs))
         ):
+            runs_fh.write(json.dumps(rec) + "\n")
+            runs_fh.flush()
             records.append(rec)
             keys.append((i, alice_hex, bob_hex))
             print(f"run {i}: {rec['status']}", file=sys.stderr)
 
-    with open(out_dir / "runs.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "status", "key_len", "d_bound_log2", "iprime_bound_log2"])

@@ -56,6 +56,7 @@ _BLOCK = 1 << 16  # grid build block: 2^16 quadrature points, 512 KiB of float64
 # An exponent whose law has more than _GRID quadrature points evaluates on
 # the _GRID + 1 edges below, in u = min(p, 1 - p). They are uniform in
 # sqrt(2u), so dense near u = 0, where the exponent's integrand bends most.
+# Each is exactly j^2 / 2^29, which the grid build's integer bins rely on.
 _GRID = 1 << 14
 _EDGES = 0.5 * (np.arange(_GRID + 1) / _GRID) ** 2
 _EDGES.flags.writeable = False  # every gridded evaluator shares it as its _p
@@ -133,28 +134,90 @@ def _probe(dist) -> tuple[np.ndarray, np.ndarray, float]:
     raise TypeError(f"unsupported distribution: {type(dist).__name__}")
 
 
-def _edge_weights(xs: np.ndarray, ws: np.ndarray, v: float) -> np.ndarray:
+def _size_and_tail(dist) -> tuple[int, float]:
+    """The number of quadrature points _probe gives dist, and the weight
+    they drop."""
+    if isinstance(dist, AnalyticGaussian):
+        return NORMAL_NODES.size, 0.0
+    if isinstance(dist, PointMasses):
+        return len(dist.points), 0.0
+    if isinstance(dist, GaussianMixture):
+        return len(dist.points) * _KERNEL_NODES.size, _KERNEL_TAIL
+    raise TypeError(f"unsupported distribution: {type(dist).__name__}")
+
+
+def _law_blocks(dist):
+    """_probe's points and weights of a point-mass or mixture law, in
+    consecutive slices of _BLOCK points; the whole law is never built.
+
+    A mixture's point i is row i // k, node i % k of pts[:, None] +
+    stdev * _KERNEL_NODES (k kept nodes), so a slice is the rows it touches,
+    raveled and trimmed; its weights are one tile of the node weights,
+    sliced at the slice's first node.
+    """
+    pts = np.asarray(dist.points, dtype=float)
+    if isinstance(dist, PointMasses):
+        ws = np.full(min(pts.size, _BLOCK), 1.0 / pts.size)
+        for start in range(0, pts.size, _BLOCK):
+            xs = pts[start:start + _BLOCK]
+            yield xs, ws[:xs.size]
+        return
+    k = _KERNEL_NODES.size
+    offsets = dist.stdev * _KERNEL_NODES
+    # rows enough for a block that starts k - 1 nodes into its first row
+    ws = np.tile(_KERNEL_WEIGHTS / pts.size, min(pts.size, _BLOCK // k + 2))
+    size = pts.size * k
+    for start in range(0, size, _BLOCK):
+        count = min(_BLOCK, size - start)
+        row, off = divmod(start, k)
+        rows = pts[row:-(-(start + count) // k), None]
+        yield (rows + offsets).ravel()[off:off + count], ws[off:off + count]
+
+
+def _edge_bins(y: np.ndarray) -> np.ndarray:
+    """The bin j of each y = u * 2^29 in [0, 2^28]: j^2 <= y < (j+1)^2, and
+    the last bin holds its upper edge, u = 1/2.
+
+    A correctly rounded sqrt never lands below floor(sqrt(y)), an integer
+    and so representable, and at most one above it: one ulp below k^2 it can
+    round up to k. The one downward step is therefore the only fix, and a
+    step up (u > e_(j+1)) can never fire.
+    """
+    j = np.sqrt(y).astype(np.int32)
+    np.minimum(j, _GRID - 1, out=j)
+    j -= j * j > y
+    return j
+
+
+def _edge_weights(dist, v: float) -> np.ndarray:
     """Weights on _EDGES whose mean of any convex function of u bounds the
-    points' mean of it from above.
+    mean of it over dist's quadrature points from above.
 
     Each point's u = min(p, 1 - p) lies in a bin [e_j, e_(j+1)]; its weight
     goes lambda to e_j and 1 - lambda to e_(j+1), lambda = (e_(j+1) - u) /
     (e_(j+1) - e_j), so the edges keep its mean u and sit on the chord above
-    it (the Edmundson-Madansky bound). Works in blocks of _BLOCK points.
+    it (the Edmundson-Madansky bound). e_j is exactly j^2 / 2^29, so on the
+    exact scale y = u * 2^29 the bin is integer arithmetic and lambda =
+    ((j+1)^2 - y) / (2j + 1) has the same bits as on the u scale. The law
+    streams in blocks of _BLOCK points, and each edge's sum adds them in
+    the law's order.
     """
     edge_ws = np.zeros(_GRID + 1)
     scale = math.sqrt(v)
-    for start in range(0, xs.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        u = ndtr(-np.abs(xs[block]) / scale)
-        j = np.minimum((np.sqrt(2.0 * u) * _GRID).astype(np.intp), _GRID - 1)
-        j -= u < _EDGES[j]  # one step fixes the rounding of the square root
-        j += u > _EDGES[j + 1]
-        lo, hi = _EDGES[j], _EDGES[j + 1]
-        w = ws[block]
-        w_lo = w * ((hi - u) / (hi - lo))
-        edge_ws += np.bincount(j, w_lo, _GRID + 1)
-        edge_ws += np.bincount(j + 1, w - w_lo, _GRID + 1)
+    for xs, ws in _law_blocks(dist):
+        y = np.abs(xs)
+        y /= -scale  # the bits of -|x| / scale
+        ndtr(y, out=y)
+        y *= 2.0**29
+        j = _edge_bins(y)
+        jf = j.astype(float)  # (j+1)^2 and 2j + 1 are exact in float64
+        w_lo = np.square(jf + 1.0)
+        w_lo -= y
+        w_lo /= 2.0 * jf + 1.0
+        w_lo *= ws
+        edge_ws[:-1] += np.bincount(j, w_lo, _GRID)
+        np.subtract(ws, w_lo, out=w_lo)
+        edge_ws[1:] += np.bincount(j, w_lo, _GRID)
     return edge_ws
 
 
@@ -210,11 +273,12 @@ class ExponentWithPadding:
             raise ValueError("conditional variance must be positive")
         if padding < 0:
             raise ValueError("padding must be nonnegative")
-        xs, ws, tail = _probe(dist)
-        if xs.size > _GRID:
-            p, ws = _EDGES, _edge_weights(xs, ws, v)
-            tail += xs.size * 2.0**-53
+        size, tail = _size_and_tail(dist)
+        if size > _GRID:
+            p, ws = _EDGES, _edge_weights(dist, v)
+            tail += size * 2.0**-53
         else:
+            xs, ws, tail = _probe(dist)
             p = ndtr(xs / math.sqrt(v))
         self._p = p
         self._ws = ws

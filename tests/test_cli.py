@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gausskey.cli as cli
 from gausskey.cli import ScenarioError, load_scenario, main
 
 
@@ -75,6 +76,27 @@ def test_parallel_workers_match_serial(tmp_path, small_code_path):
                  "--out", str(tmp_path / "pooled"), "--workers", "2"]) == 0
     assert ((tmp_path / "serial" / "summary.csv").read_bytes()
             == (tmp_path / "pooled" / "summary.csv").read_bytes())
+
+
+def test_runs_jsonl_keeps_the_runs_before_a_crash(tmp_path, small_code_path, monkeypatch):
+    scen = write_scenario(tmp_path, small_code_path)
+    assert main(["simulate", "--scenario", scen, "--runs", "3",
+                 "--out", str(tmp_path / "whole")]) == 0
+    run_one = cli._run_one
+
+    def crash_at_two(scenario, run_index):
+        if run_index == 2:
+            raise RuntimeError("run 2 crashed")
+        return run_one(scenario, run_index)
+
+    monkeypatch.setattr(cli, "_run_one", crash_at_two)
+    with pytest.raises(RuntimeError, match="run 2 crashed"):
+        main(["simulate", "--scenario", scen, "--runs", "3", "--workers", "1",
+              "--out", str(tmp_path / "crashed")])
+    kept = (tmp_path / "crashed" / "runs.jsonl").read_bytes()
+    whole = (tmp_path / "whole" / "runs.jsonl").read_bytes()
+    assert kept.count(b"\n") == 2
+    assert whole.startswith(kept) and whole.count(b"\n") == 3
 
 
 def test_keygen_writes_matching_hex(tmp_path, small_code_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from gausskey.secbounds import (
     GaussianMixture,
     PointMasses,
     _brent_bounded,
+    _edge_bins,
     _probe,
     build_certified_exponent,
     key_rate_symmetric,
@@ -741,6 +743,80 @@ def test_grid_exponent_is_a_tight_upper_bound(case):
         assert grid >= exact * (1.0 - 1e-13)
         assert jensen <= exact * (1.0 + 1e-13)
         assert math.log2(grid) - math.log2(exact) <= 1e-7
+
+
+def _gathered_edge_weights(xs, ws, v):
+    # reference build on the whole law at once: bins from the sqrt rule,
+    # fixed up against gathered _EDGES values in both directions, and lambda
+    # from gathered edges; the streamed build must keep its bits
+    edge_ws = np.zeros(_GRID + 1)
+    scale = math.sqrt(v)
+    for start in range(0, xs.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        u = ndtr(-np.abs(xs[block]) / scale)
+        j = np.minimum((np.sqrt(2.0 * u) * _GRID).astype(np.intp), _GRID - 1)
+        j -= u < _EDGES[j]
+        j += u > _EDGES[j + 1]
+        lo, hi = _EDGES[j], _EDGES[j + 1]
+        w = ws[block]
+        w_lo = w * ((hi - u) / (hi - lo))
+        edge_ws += np.bincount(j, w_lo, _GRID + 1)
+        edge_ws += np.bincount(j + 1, w - w_lo, _GRID + 1)
+    return edge_ws
+
+
+def _assert_matches_gathered_build(law, v):
+    ev = ExponentWithPadding(law, v, 0.0)
+    xs, ws, tail = _probe(law)
+    assert ev._p is _EDGES
+    assert ev._ws.tobytes() == _gathered_edge_weights(xs, ws, v).tobytes()
+    assert ev._tail == tail + xs.size * 2.0**-53
+
+
+def test_streamed_build_matches_gathered_oracle_bitwise():
+    # u exactly 0 and 1/2 and a subnormal sweep, over several blocks and a
+    # partial last one; then a point-mass law one point above the grid size
+    _assert_matches_gathered_build(*_kernel_oracle_case("mixture"))
+    pts = np.random.default_rng(5).normal(0.0, 2.0, _GRID + 1)
+    _assert_matches_gathered_build(PointMasses(tuple(pts.tolist())), 1.3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_multi_block_mixtures())
+def test_streamed_build_matches_gathered_oracle_on_multi_block_laws(case):
+    law, v, _padding, _ts = case
+    _assert_matches_gathered_build(law, v)
+
+
+def test_edge_bins_are_exact_integer_arithmetic():
+    j = np.arange(_GRID + 1)
+    assert np.array_equal(_EDGES * 2.0**29, (j * j).astype(float))
+    k = np.arange(1, _GRID + 1)
+    below = np.nextafter((k * k).astype(float), 0.0)
+    # one ulp below k^2 the rounded sqrt is k itself at thousands of edges:
+    # the bin rule's downward step is what puts those points in bin k - 1
+    assert np.count_nonzero(np.sqrt(below) == k) == 6781
+    y = np.concatenate([[0.0], (j * j).astype(float), below, [2.0**28]])
+    expected = np.minimum(np.searchsorted(_EDGES, y / 2.0**29, side="right") - 1, _GRID - 1)
+    got = _edge_bins(y)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, expected)
+
+
+def test_grid_build_streams_the_law():
+    # reference-workload shape: 10^4 smoothed residuals are 580k kernel
+    # points, 4.6 MB of float64 each for points and weights; the streamed
+    # build holds a few blocks of 2^16 at once
+    pts = np.sort(np.random.default_rng(17).normal(0.0, 1.1, 10_000))
+    law = GaussianMixture(points=tuple(pts.tolist()), stdev=0.58)
+    tracemalloc.start()
+    try:
+        ev = ExponentWithPadding(law, 1.57, 0.042)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev._p is _EDGES
+    assert peak < 6 * 2**20
 
 
 def test_grid_allows_for_the_mass_its_sums_round_away():

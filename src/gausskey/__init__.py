@@ -9,7 +9,7 @@ out the leakage (hashing), and orchestrate the whole exchange (protocol).
 from .estimation import (
     EmpiricalCdf,
     EstimateBundle,
-    EveCdf,
+    GaussianMixture,
     estimate_eve_cdf,
     estimate_moments,
     ks_distance,
@@ -49,7 +49,7 @@ __all__ = [
     "ChannelParams",
     "EmpiricalCdf",
     "EstimateBundle",
-    "EveCdf",
+    "GaussianMixture",
     "LinearCode",
     "MODIFIED_MUTUAL_INFO",
     "NoiseSpec",

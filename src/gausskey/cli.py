@@ -244,41 +244,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ScenarioError(f"cannot read code file: {exc}") from exc
 
-    records: list[dict] = []
-    keys: list[tuple[int, str | None, str | None]] = []
+    key_dir = out_dir / "keys"
+    if args.command == "keygen":
+        key_dir.mkdir(exist_ok=True)
+    succeeded = 0
     parallel = args.workers > 1
-    # runs.jsonl takes each record as its run finishes, so a crash keeps the
-    # runs before it
+    # every output takes each run as it finishes, so a crash keeps the runs
+    # before it
     with (
         ProcessPoolExecutor(max_workers=args.workers) if parallel else nullcontext() as pool,
         open(out_dir / "runs.jsonl", "w", encoding="utf-8") as runs_fh,
+        open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as summary_fh,
     ):
+        summary = csv.writer(summary_fh)
+        summary.writerow(["seed", "status", "key_len", "d_bound_log2", "iprime_bound_log2"])
         run_map = pool.map if parallel else map
         for i, (rec, alice_hex, bob_hex) in enumerate(
             run_map(partial(_run_one, scenario), range(args.runs))
         ):
             runs_fh.write(json.dumps(rec) + "\n")
             runs_fh.flush()
-            records.append(rec)
-            keys.append((i, alice_hex, bob_hex))
+            summary.writerow(_summary_row(rec))
+            summary_fh.flush()
+            if args.command == "keygen" and alice_hex is not None and bob_hex is not None:
+                (key_dir / f"run_{i}_alice.hex").write_text(alice_hex + "\n")
+                (key_dir / f"run_{i}_bob.hex").write_text(bob_hex + "\n")
+            succeeded += rec["status"] == STATUS_SUCCESS
             print(f"run {i}: {rec['status']}", file=sys.stderr)
 
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "status", "key_len", "d_bound_log2", "iprime_bound_log2"])
-        for rec in records:
-            writer.writerow(_summary_row(rec))
-
-    if args.command == "keygen":
-        key_dir = out_dir / "keys"
-        key_dir.mkdir(exist_ok=True)
-        for i, alice_hex, bob_hex in keys:
-            if alice_hex is None or bob_hex is None:
-                continue
-            (key_dir / f"run_{i}_alice.hex").write_text(alice_hex + "\n")
-            (key_dir / f"run_{i}_bob.hex").write_text(bob_hex + "\n")
-
-    succeeded = sum(1 for rec in records if rec["status"] == STATUS_SUCCESS)
     print(f"{succeeded}/{args.runs} runs produced a key", file=sys.stderr)
     return 0 if succeeded > 0 else 1
 
@@ -346,8 +339,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "confidence_intervals": {
             k: list(v) for k, v in bundle.confidence_intervals().items()
         },
-        "smoothed": eve.smoothed,
-        "smoothing_stdev": eve.smoothing_stdev,
+        "smoothed": eve.stdev > 0,
+        "smoothing_stdev": eve.stdev,
         "ks_error_bound": kappa,
     }
     text = json.dumps(report, indent=2)
@@ -417,10 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return cmd_estimate(args)
         parser.error(f"unknown command {args.command!r}")
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -3,7 +3,8 @@
 Covers the two estimation rounds of the key-generation protocol: moment
 estimates with Gaussian-approximation confidence intervals, residual
 extraction, empirical CDFs, the Kolmogorov distribution and its quantile,
-the smoothing decision for the listener's law, the composed estimation
+the listener's estimated law (a Gaussian mixture on the residuals, whose
+kernel has zero width unless smoothing applies), the composed estimation
 error bound used to pad the security exponent, and the sign-bit marginal
 that both the decoder prior and the code-rate ceiling read off the
 residual CDF.
@@ -23,12 +24,11 @@ from .gaussmodel import listener_geometry
 __all__ = [
     "EstimateBundle",
     "EmpiricalCdf",
-    "EveCdf",
+    "GaussianMixture",
     "estimate_moments",
     "residuals",
     "kolmogorov_cdf",
     "kolmogorov_quantile",
-    "gaussian_quantile",
     "two_sided_z",
     "estimate_eve_cdf",
     "ks_distance",
@@ -47,6 +47,7 @@ MIN_RECOMMENDED_SAMPLES = 10_000
 NORMAL_NODES, NORMAL_WEIGHTS = np.polynomial.hermite.hermgauss(96)
 NORMAL_NODES = NORMAL_NODES * math.sqrt(2.0)
 NORMAL_WEIGHTS = NORMAL_WEIGHTS / math.sqrt(math.pi)
+NORMAL_NODES.flags.writeable = NORMAL_WEIGHTS.flags.writeable = False  # shared, never copied
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,20 @@ class EstimateBundle:
 
 
 @dataclass(frozen=True)
-class EveCdf:
-    """Smoothing decision for the estimate of Eve's conditioning CDF.
+class GaussianMixture:
+    """Equal-weight Gaussian kernels of common stdev on the given points.
 
-    When the covariance signal exceeds Bob's own detector noise the residual
-    law is smoothed by a Gaussian kernel of the excess stdev; otherwise the
-    raw residual law is used together with the stronger reduction of Eve's
-    knowledge. The smoothed law itself is secbounds.GaussianMixture. A
-    zero stdev is the identity kernel: the raw branch.
+    A zero stdev is a point mass at each point: the raw empirical law.
     """
 
-    smoothing_stdev: float
+    points: tuple[float, ...]
+    stdev: float
 
-    @property
-    def smoothed(self) -> bool:
-        return self.smoothing_stdev > 0
+    def __post_init__(self) -> None:
+        if len(self.points) == 0:
+            raise ValueError("need at least one point")
+        if not (self.stdev >= 0):
+            raise ValueError("stdev must be nonnegative")
 
 
 def _sample_pairs(samples) -> np.ndarray:
@@ -232,13 +232,6 @@ def kolmogorov_quantile(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def gaussian_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not (0 < p < 1):
-        raise ValueError("p must lie in (0, 1)")
-    return float(ndtri(p))
-
-
 def two_sided_z(epsilon: float) -> float:
     """Interval multiplier covering all but total tail mass epsilon.
 
@@ -251,18 +244,19 @@ def two_sided_z(epsilon: float) -> float:
     return float(ndtri(1.0 - epsilon / 2.0))
 
 
-def estimate_eve_cdf(bundle: EstimateBundle, params) -> EveCdf:
-    """Decide whether Eve's conditioning CDF is smoothed, and by how much.
+def estimate_eve_cdf(bundle: EstimateBundle, params) -> GaussianMixture:
+    """Eve's conditioning law: the residual sample, smoothed or not.
 
-    The covariance signal projected onto Eve's side must strictly exceed
-    Bob's detector variance for smoothing to apply; at or below the
-    threshold the raw step CDF is used (a zero-width kernel is the
-    identity, so the boundary collapses to the raw branch).
+    When the covariance signal projected onto Eve's side strictly exceeds
+    Bob's detector variance, the residuals are smoothed by a Gaussian
+    kernel of the excess stdev. At or below that threshold the kernel has
+    zero width: the raw residual law, used together with the stronger
+    reduction of Eve's knowledge.
     """
     if not bundle.complete:
         raise ValueError("bundle has no residuals; run the second estimation round")
     excess, _ = listener_geometry(params, bundle.c_hat**2)
-    return EveCdf(smoothing_stdev=math.sqrt(excess) if excess > 0 else 0.0)
+    return GaussianMixture(bundle.residuals, math.sqrt(excess) if excess > 0 else 0.0)
 
 
 def ks_distance(cdf, ecdf: EmpiricalCdf) -> float:

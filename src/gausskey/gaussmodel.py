@@ -24,6 +24,7 @@ __all__ = [
     "condense_eve_view",
     "listener_geometry",
     "squared_correlations",
+    "beats_listener",
     "advantage_condition",
 ]
 
@@ -201,6 +202,16 @@ def squared_correlations(
     return rho_a, rho_cond, rho_inf
 
 
+def beats_listener(params: ChannelParams, signal_sq: float, noise_variance: float) -> bool:
+    """The advantage inequality: signal_sq / noise_variance > g^2/s^2 + 1.
+
+    Bob's signal power over the injected-noise variance must beat the
+    listener's gain-to-noise ratio plus one. noise_variance must be
+    positive; each caller settles its own zero case.
+    """
+    return signal_sq / noise_variance > params.eve_gain**2 / params.eve_noise**2 + 1
+
+
 def advantage_condition(params: ChannelParams, injected_variance: float) -> bool:
     """True iff Alice-Bob correlation beats Eve's condensed view.
 
@@ -212,5 +223,5 @@ def advantage_condition(params: ChannelParams, injected_variance: float) -> bool
     ab2 = params.bob_gain**2
     if injected_variance == 0:
         return ab2 != 0
-    return ab2 / injected_variance > params.eve_gain**2 / params.eve_noise**2 + 1
+    return beats_listener(params, ab2, injected_variance)
 

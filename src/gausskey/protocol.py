@@ -21,7 +21,7 @@ from .estimation import (
     estimate_moments,
     residuals,
 )
-from .gaussmodel import ChannelParams, NoiseSpec, sample_rounds
+from .gaussmodel import ChannelParams, NoiseSpec, beats_listener, sample_rounds
 from .hashing import BitString, ToeplitzSeed, auth_failure_prob, toeplitz_hash, verification_tag
 from .reconciliation import LinearCode, SoftChannel, alice_decode, load_alist, reconcile
 from .secbounds import (
@@ -190,8 +190,7 @@ def post_selection_gate(bundle: EstimateBundle, params: ChannelParams) -> bool:
     if v_y_hat == 0.0:
         return bundle.c_hat != 0.0
     uc = max(bundle.underline_c(), 0.0)  # no certified signal when |c_hat| <= radius
-    ratio = params.eve_gain**2 / params.eve_noise**2
-    return uc * uc / v_y_hat > ratio + 1.0
+    return beats_listener(params, uc * uc, v_y_hat)
 
 
 def certify(

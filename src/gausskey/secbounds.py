@@ -24,7 +24,7 @@ from .estimation import (
     NORMAL_WEIGHTS,
     EmpiricalCdf,
     EstimateBundle,
-    EveCdf,
+    GaussianMixture,
     bit_zero_probabilities,
     ks_error_bound,
 )
@@ -32,8 +32,6 @@ from .gaussmodel import listener_geometry
 
 __all__ = [
     "AnalyticGaussian",
-    "PointMasses",
-    "GaussianMixture",
     "SecurityCertificate",
     "VARIATIONAL_DISTANCE",
     "MODIFIED_MUTUAL_INFO",
@@ -84,29 +82,6 @@ class AnalyticGaussian:
 
 
 @dataclass(frozen=True)
-class PointMasses:
-    points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) == 0:
-            raise ValueError("need at least one point")
-
-
-@dataclass(frozen=True)
-class GaussianMixture:
-    """Equal-weight Gaussian kernels of common stdev on the given points."""
-
-    points: tuple[float, ...]
-    stdev: float
-
-    def __post_init__(self) -> None:
-        if len(self.points) == 0:
-            raise ValueError("need at least one point")
-        if not (self.stdev > 0):
-            raise ValueError("stdev must be positive")
-
-
-@dataclass(frozen=True)
 class SecurityCertificate:
     criterion: str
     s_star: float
@@ -118,54 +93,42 @@ class SecurityCertificate:
     confidence: float | None = None
 
 
-def _probe(dist) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadrature points and weights integrating against dist, and the
-    weight they drop: _KERNEL_TAIL for a mixture, 0.0 otherwise."""
-    if isinstance(dist, AnalyticGaussian):
-        return NORMAL_NODES * math.sqrt(dist.variance), NORMAL_WEIGHTS.copy(), 0.0
-    if isinstance(dist, PointMasses):
-        pts = np.asarray(dist.points, dtype=float)
-        return pts, np.full(pts.size, 1.0 / pts.size), 0.0
-    if isinstance(dist, GaussianMixture):
-        pts = np.asarray(dist.points, dtype=float)
-        xs = (pts[:, None] + dist.stdev * _KERNEL_NODES[None, :]).ravel()
-        ws = np.tile(_KERNEL_WEIGHTS / pts.size, pts.size)
-        return xs, ws, _KERNEL_TAIL
-    raise TypeError(f"unsupported distribution: {type(dist).__name__}")
+def _kernel(stdev: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node offsets and weights of a mixture's kernel at stdev, and the
+    weight they drop: the kept nodes and _KERNEL_TAIL, or, at stdev 0, one
+    node of weight 1 (a point mass)."""
+    if stdev > 0:
+        return stdev * _KERNEL_NODES, _KERNEL_WEIGHTS, _KERNEL_TAIL
+    return np.zeros(1), np.ones(1), 0.0
 
 
 def _size_and_tail(dist) -> tuple[int, float]:
-    """The number of quadrature points _probe gives dist, and the weight
-    they drop."""
+    """The number of quadrature points _law_blocks gives dist, and the
+    weight they drop."""
     if isinstance(dist, AnalyticGaussian):
         return NORMAL_NODES.size, 0.0
-    if isinstance(dist, PointMasses):
-        return len(dist.points), 0.0
-    if isinstance(dist, GaussianMixture):
-        return len(dist.points) * _KERNEL_NODES.size, _KERNEL_TAIL
-    raise TypeError(f"unsupported distribution: {type(dist).__name__}")
+    offsets, _, tail = _kernel(dist.stdev)
+    return len(dist.points) * offsets.size, tail
 
 
 def _law_blocks(dist):
-    """_probe's points and weights of a point-mass or mixture law, in
-    consecutive slices of _BLOCK points; the whole law is never built.
+    """dist's quadrature points and weights, in consecutive slices of
+    _BLOCK points; the whole law is never built.
 
-    A mixture's point i is row i // k, node i % k of pts[:, None] +
-    stdev * _KERNEL_NODES (k kept nodes), so a slice is the rows it touches,
-    raveled and trimmed; its weights are one tile of the node weights,
-    sliced at the slice's first node.
+    The analytic law is one block, the 96 scaled normal nodes. A mixture's
+    point i is row i // k, node i % k of pts[:, None] + the kernel's k node
+    offsets, so a slice is the rows it touches, raveled and trimmed; its
+    weights are one tile of the node weights, sliced at the slice's first
+    node.
     """
-    pts = np.asarray(dist.points, dtype=float)
-    if isinstance(dist, PointMasses):
-        ws = np.full(min(pts.size, _BLOCK), 1.0 / pts.size)
-        for start in range(0, pts.size, _BLOCK):
-            xs = pts[start:start + _BLOCK]
-            yield xs, ws[:xs.size]
+    if isinstance(dist, AnalyticGaussian):
+        yield NORMAL_NODES * math.sqrt(dist.variance), NORMAL_WEIGHTS
         return
-    k = _KERNEL_NODES.size
-    offsets = dist.stdev * _KERNEL_NODES
+    pts = np.asarray(dist.points, dtype=float)
+    offsets, weights, _ = _kernel(dist.stdev)
+    k = offsets.size
     # rows enough for a block that starts k - 1 nodes into its first row
-    ws = np.tile(_KERNEL_WEIGHTS / pts.size, min(pts.size, _BLOCK // k + 2))
+    ws = np.tile(weights / pts.size, min(pts.size, _BLOCK // k + 2))
     size = pts.size * k
     for start in range(0, size, _BLOCK):
         count = min(_BLOCK, size - start)
@@ -232,9 +195,11 @@ def sign_entropy(dist, v: float) -> float:
     """
     if not (v > 0):
         raise ValueError("conditional variance must be positive")
-    xs, ws, tail = _probe(dist)
-    p = ndtr(xs / math.sqrt(v))
-    return float(np.einsum("i,i->", ws, _binary_entropy(p))) + tail
+    total = 0.0
+    for xs, ws in _law_blocks(dist):
+        p = ndtr(xs / math.sqrt(v))
+        total += float(np.einsum("i,i->", ws, _binary_entropy(p)))
+    return total + _size_and_tail(dist)[1]
 
 
 def sign_exponent(dist, v: float, t: float) -> float:
@@ -278,7 +243,7 @@ class ExponentWithPadding:
             p, ws = _EDGES, _edge_weights(dist, v)
             tail += size * 2.0**-53
         else:
-            xs, ws, tail = _probe(dist)
+            (xs, ws), = _law_blocks(dist)  # at most _GRID < _BLOCK points
             p = ndtr(xs / math.sqrt(v))
         self._p = p
         self._ws = ws
@@ -338,19 +303,14 @@ def _padded_exponent(bundle: EstimateBundle, law, smoothed: bool, params) -> Exp
     return ExponentWithPadding(law, v, pad)
 
 
-def build_certified_exponent(bundle: EstimateBundle, eve: EveCdf, params) -> ExponentWithPadding:
-    """Padded exponent from live estimates, at the bundle's epsilon.
-
-    Eve's law is the residual sample, convolved with the smoothing kernel
-    when eve.smoothed.
-    """
+def build_certified_exponent(
+    bundle: EstimateBundle, eve: GaussianMixture, params
+) -> ExponentWithPadding:
+    """Padded exponent of Eve's estimated law eve (estimate_eve_cdf) from
+    live estimates, at the bundle's epsilon."""
     if not bundle.complete:
         raise ValueError("bundle has no residuals")
-    if eve.smoothed:
-        law = GaussianMixture(points=bundle.residuals, stdev=eve.smoothing_stdev)
-    else:
-        law = PointMasses(points=bundle.residuals)
-    return _padded_exponent(bundle, law, eve.smoothed, params)
+    return _padded_exponent(bundle, eve, eve.stdev > 0, params)
 
 
 def reference_exponent_evaluator(

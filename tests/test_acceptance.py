@@ -37,6 +37,7 @@ from gausskey.estimation import (
     ks_distance,
     two_sided_z,
 )
+from gausskey.estimation import GaussianMixture
 from gausskey.gaussmodel import NoiseSpec, condense_eve_view, sample_rounds
 from gausskey.hashing import BitString, ToeplitzSeed, collision_probability, verification_tag
 from gausskey.protocol import (
@@ -48,7 +49,6 @@ from gausskey.protocol import (
 from gausskey.secbounds import (
     VARIATIONAL_DISTANCE,
     AnalyticGaussian,
-    PointMasses,
     key_rate_symmetric,
     minimize_exponent,
     reference_exponent_evaluator,
@@ -210,8 +210,8 @@ def test_05_property_suite(capsys, reference_params):
             np.abs(np.searchsorted(pts_p, grid, side=s) / k
                    - np.searchsorted(pts_q, grid, side=s) / k).max()
             for s in ("left", "right"))
-        lhs = abs(2.0 ** sign_exponent(PointMasses(pts_p), v, t)
-                  - 2.0 ** sign_exponent(PointMasses(pts_q), v, t))
+        lhs = abs(2.0 ** sign_exponent(GaussianMixture(pts_p, 0.0), v, t)
+                  - 2.0 ** sign_exponent(GaussianMixture(pts_q, 0.0), v, t))
         violations += lhs > 2.0 * (1.0 - 2.0 ** -t) * dist + 1e-12
     results.append(("perturb", violations == 0, f"viol={violations}"))
 

@@ -80,8 +80,9 @@ def test_parallel_workers_match_serial(tmp_path, small_code_path):
 
 def test_runs_jsonl_keeps_the_runs_before_a_crash(tmp_path, small_code_path, monkeypatch):
     scen = write_scenario(tmp_path, small_code_path)
-    assert main(["simulate", "--scenario", scen, "--runs", "3",
-                 "--out", str(tmp_path / "whole")]) == 0
+    for command in ("simulate", "keygen"):
+        assert main([command, "--scenario", scen, "--runs", "3",
+                     "--out", str(tmp_path / "whole" / command)]) == 0
     run_one = cli._run_one
 
     def crash_at_two(scenario, run_index):
@@ -90,13 +91,23 @@ def test_runs_jsonl_keeps_the_runs_before_a_crash(tmp_path, small_code_path, mon
         return run_one(scenario, run_index)
 
     monkeypatch.setattr(cli, "_run_one", crash_at_two)
-    with pytest.raises(RuntimeError, match="run 2 crashed"):
-        main(["simulate", "--scenario", scen, "--runs", "3", "--workers", "1",
-              "--out", str(tmp_path / "crashed")])
-    kept = (tmp_path / "crashed" / "runs.jsonl").read_bytes()
-    whole = (tmp_path / "whole" / "runs.jsonl").read_bytes()
-    assert kept.count(b"\n") == 2
-    assert whole.startswith(kept) and whole.count(b"\n") == 3
+    for command in ("simulate", "keygen"):
+        with pytest.raises(RuntimeError, match="run 2 crashed"):
+            main([command, "--scenario", scen, "--runs", "3", "--workers", "1",
+                  "--out", str(tmp_path / "crashed" / command)])
+        crashed, whole = tmp_path / "crashed" / command, tmp_path / "whole" / command
+        kept = (crashed / "runs.jsonl").read_bytes()
+        assert kept.count(b"\n") == 2
+        assert (whole / "runs.jsonl").read_bytes().startswith(kept)
+        # the summary's header and the rows of runs 0 and 1
+        rows = (whole / "summary.csv").read_bytes().splitlines(keepends=True)
+        assert len(rows) == 4
+        assert (crashed / "summary.csv").read_bytes() == b"".join(rows[:3])
+    keys = sorted(p.name for p in (tmp_path / "crashed" / "keygen" / "keys").iterdir())
+    assert keys == ["run_0_alice.hex", "run_0_bob.hex", "run_1_alice.hex", "run_1_bob.hex"]
+    for name in keys:
+        assert ((tmp_path / "crashed" / "keygen" / "keys" / name).read_bytes()
+                == (tmp_path / "whole" / "keygen" / "keys" / name).read_bytes())
 
 
 def test_keygen_writes_matching_hex(tmp_path, small_code_path):

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from gausskey.estimation import (
     EmpiricalCdf,
     EstimateBundle,
     estimate_eve_cdf,
     estimate_moments,
-    gaussian_quantile,
     gaussian_sup_distance,
     kolmogorov_cdf,
     kolmogorov_quantile,
@@ -53,17 +52,6 @@ def test_kolmogorov_domain():
         kolmogorov_cdf(0.0)
     with pytest.raises(ValueError):
         kolmogorov_quantile(1.0)
-
-
-def test_gaussian_quantile_values():
-    assert gaussian_quantile(0.5) == 0.0
-    assert gaussian_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-    # the interval multiplier behind the reference confidence numbers
-    assert two_sided_z(EPS) == pytest.approx(4.06, abs=0.01)
-    assert two_sided_z(EPS) == pytest.approx(4.0556269811, abs=1e-8)
-    assert two_sided_z(EPS) == gaussian_quantile(1.0 - EPS / 2.0)
-    with pytest.raises(ValueError):
-        gaussian_quantile(1.0)
 
 
 # ------------------------------------------------------------------ moments
@@ -181,15 +169,16 @@ def test_branch_selection():
     )
     bundle = make_bundle(c_hat=math.sqrt(2.0), residuals=(0.0, 1.0))
     eve = estimate_eve_cdf(bundle, params)
+    assert eve.points is bundle.residuals  # the law holds the bundle's own sample
     # c^2 * 2/3 = 4/3 beats detector variance 1: smoothing applies
-    assert eve.smoothed
-    assert eve.smoothing_stdev == pytest.approx(math.sqrt(1.0 / 3.0))
+    assert eve.stdev > 0
+    assert eve.stdev == pytest.approx(math.sqrt(1.0 / 3.0))
 
     deaf = ChannelParams(
         bob_gain=math.sqrt(2.0), bob_noise=10.0, bob_offset=0.0,
         eve_gain=math.sqrt(2.0), eve_noise=1.0,
     )
-    assert not estimate_eve_cdf(bundle, deaf).smoothed
+    assert estimate_eve_cdf(bundle, deaf).stdev == 0.0
 
     # at the branch boundary (projected variance = detector variance = 2,
     # up to one ulp) smoothing must NOT apply: only a strict excess smooths
@@ -198,7 +187,7 @@ def test_branch_selection():
     )
     at_boundary = make_bundle(c_hat=2.0, residuals=(0.0, 1.0))
     eve_edge = estimate_eve_cdf(at_boundary, edge)
-    assert not eve_edge.smoothed and eve_edge.smoothing_stdev == 0.0
+    assert eve_edge.stdev == 0.0
 
     with pytest.raises(ValueError):
         estimate_eve_cdf(make_bundle(), edge)  # no residuals yet
@@ -297,6 +286,12 @@ def test_gaussian_sup_distance():
 
 
 def test_confidence_intervals_and_underline(reference_params):
+    # the interval multiplier behind the reference confidence numbers
+    assert two_sided_z(EPS) == pytest.approx(4.06, abs=0.01)
+    assert two_sided_z(EPS) == pytest.approx(4.0556269811, abs=1e-8)
+    assert two_sided_z(EPS) == ndtri(1.0 - EPS / 2.0)
+    with pytest.raises(ValueError):
+        two_sided_z(1.0)
     bundle = make_bundle()
     ivals = bundle.confidence_intervals()
     assert set(ivals) == {"mean", "variance", "covariance"}

@@ -20,6 +20,7 @@ from gausskey.estimation import (
     NORMAL_WEIGHTS,
     EmpiricalCdf,
     EstimateBundle,
+    GaussianMixture,
     estimate_eve_cdf,
     kolmogorov_quantile,
     ks_error_bound,
@@ -38,11 +39,10 @@ from gausskey.secbounds import (
     VARIATIONAL_DISTANCE,
     AnalyticGaussian,
     ExponentWithPadding,
-    GaussianMixture,
-    PointMasses,
+    _binary_entropy,
     _brent_bounded,
     _edge_bins,
-    _probe,
+    _law_blocks,
     build_certified_exponent,
     key_rate_symmetric,
     minimize_convex,
@@ -64,16 +64,27 @@ def reference_bundle(residual_points, l=500_000):
     )
 
 
+def _whole_law(law):
+    # reference quadrature of a mixture, built whole: each point's kernel
+    # nodes in turn and equal weights per point, plus the dropped weight; a
+    # zero-width kernel is the point itself
+    pts = np.asarray(law.points, dtype=float)
+    if law.stdev == 0:
+        return pts, np.full(pts.size, 1.0 / pts.size), 0.0
+    xs = (pts[:, None] + law.stdev * _KERNEL_NODES[None, :]).ravel()
+    return xs, np.tile(_KERNEL_WEIGHTS / pts.size, pts.size), _KERNEL_TAIL
+
+
 # ------------------------------------------------------- entropy functional
 
 def test_sign_entropy_symmetric_point_is_one_bit():
     # a location at the origin makes the sign a fair coin whatever the noise
     for v in (0.1, 1.0, 25.0):
-        assert sign_entropy(PointMasses((0.0,)), v) == pytest.approx(1.0)
+        assert sign_entropy(GaussianMixture((0.0,), 0.0), v) == pytest.approx(1.0)
 
 
 def test_sign_entropy_far_location_is_deterministic():
-    assert sign_entropy(PointMasses((40.0,)), 1.0) < 1e-12
+    assert sign_entropy(GaussianMixture((40.0,), 0.0), 1.0) < 1e-12
 
 
 def test_sign_entropy_gaussian_matches_direct_quadrature():
@@ -121,17 +132,19 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         AnalyticGaussian(0.0)
     with pytest.raises(ValueError):
-        PointMasses(())
+        GaussianMixture((), 0.0)
+    assert GaussianMixture(points=(1.0,), stdev=0.0).stdev == 0.0  # point masses
+    for stdev in (-0.5, -1e-300, math.nan):
+        with pytest.raises(ValueError):
+            GaussianMixture(points=(1.0,), stdev=stdev)
     with pytest.raises(ValueError):
-        GaussianMixture(points=(1.0,), stdev=0.0)
-    with pytest.raises(ValueError):
-        sign_entropy(PointMasses((1.0,)), 0.0)
+        sign_entropy(GaussianMixture((1.0,), 0.0), 0.0)
 
 
 # ------------------------------------------------------ exponent functional
 
 def test_sign_exponent_zero_at_origin_and_negative_inside():
-    for dist in (AnalyticGaussian(1.0), PointMasses((0.3, -1.2)),
+    for dist in (AnalyticGaussian(1.0), GaussianMixture((0.3, -1.2), 0.0),
                  GaussianMixture((0.0, 1.0), 0.4)):
         assert sign_exponent(dist, 1.5, 0.0) == 0.0
         for t in (0.1, 0.3, 0.49):
@@ -225,8 +238,8 @@ def test_exponent_perturbation_bound():
             fq = np.searchsorted(pts_q, grid, side=side) / k
             gaps.append(np.abs(fp - fq).max())
         d = max(gaps)
-        lhs = abs(2.0 ** sign_exponent(PointMasses(pts_p), v, t)
-                  - 2.0 ** sign_exponent(PointMasses(pts_q), v, t))
+        lhs = abs(2.0 ** sign_exponent(GaussianMixture(pts_p, 0.0), v, t)
+                  - 2.0 ** sign_exponent(GaussianMixture(pts_q, 0.0), v, t))
         assert lhs <= 2.0 * (1.0 - 2.0 ** -t) * d + 1e-12
 
 
@@ -285,7 +298,7 @@ def _kernel_oracle_case(name):
     pts = np.concatenate([bulk, far, tails, centre, [0.0]])
     return {
         "mixture": (GaussianMixture(points=tuple(pts.tolist()), stdev=stdev), 1.0),
-        "points": (PointMasses(tuple(pts.tolist())), 2.0),
+        "points": (GaussianMixture(tuple(pts.tolist()), 0.0), 2.0),
         "analytic": (AnalyticGaussian(1.3), 0.7),
     }[name]
 
@@ -298,7 +311,7 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
     if name == "mixture":
         # the law's 2300 * 58 points span several build blocks and end in a
         # partial one; they land on the grid's edges
-        size = _probe(dist)[0].size
+        size = _whole_law(dist)[0].size
         assert size == 2300 * 58
         assert size > 2 * _BLOCK and size % _BLOCK != 0
         assert ev._p is _EDGES
@@ -322,7 +335,8 @@ def test_block_kernel_matches_two_pass_formula_bitwise(name):
 
 _THREAD_PROBE = """
 import numpy as np
-from gausskey.secbounds import ExponentWithPadding, GaussianMixture, sign_entropy
+from gausskey.estimation import GaussianMixture
+from gausskey.secbounds import ExponentWithPadding, sign_entropy
 pts = np.random.default_rng(3).normal(0.0, 1.2, 2300)
 dist = GaussianMixture(points=tuple(pts.tolist()), stdev=0.4)
 ev = ExponentWithPadding(dist, 1.5, 0.0)
@@ -352,12 +366,13 @@ def test_exponent_bits_do_not_depend_on_blas_threads():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs a few tenths of a second to import, paid by every
-    # process start and every keygen worker; hashing uses numpy.fft, so
-    # scipy.fft stays out as well
-    out = _run_python("import sys, gausskey.cli; "
-                      "print('scipy.optimize' in sys.modules, 'scipy.fft' in sys.modules)")
-    assert out.strip() == "False False"
+    # scipy.optimize and scipy.stats each cost a sizeable share of the
+    # package's import time, paid by every process start and every keygen
+    # worker; hashing uses numpy.fft, so scipy.fft stays out as well
+    out = _run_python("import sys, gausskey.cli; print(sorted(m for m in sys.modules "
+                      "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'], "
+                      "['scipy', 'fft'])))")
+    assert out.strip() == "[]"
 
 
 # --------------------------------------------------------- certified builder
@@ -370,7 +385,7 @@ def test_build_certified_exponent_smoothed_branch_variance():
     res = tuple(np.sort(rng.normal(scale=math.sqrt(1.2), size=4000)).tolist())
     bundle = reference_bundle(res)
     eve = estimate_eve_cdf(bundle, params)
-    assert eve.smoothed
+    assert eve.stdev > 0
     ev = build_certified_exponent(bundle, eve, params)
     uc = bundle.underline_c()
     # projected eve fraction is 1/3 at this geometry; detector noise re-enters
@@ -388,7 +403,7 @@ def test_build_certified_exponent_raw_branch_variance():
     bundle = EstimateBundle(e_hat=0.0, v_hat=4.35, c_hat=2.0, v_ab_hat=12.3,
                             w_hat=30.0, l=200_000, epsilon=EPS, residuals=res)
     eve = estimate_eve_cdf(bundle, params)
-    assert not eve.smoothed
+    assert eve.stdev == 0.0
     ev = build_certified_exponent(bundle, eve, params)
     uc = bundle.underline_c()
     assert ev.v == uc * uc
@@ -675,7 +690,7 @@ def test_kernel_nodes_are_the_central_block_with_a_bounded_tail():
 def test_mixture_entropy_counts_the_dropped_weight_at_one_bit():
     # every kept node of a far kernel gives p exactly 1, so only the tail is left
     assert sign_entropy(GaussianMixture(points=(40.0,), stdev=0.5), 1.0) == _KERNEL_TAIL
-    assert sign_entropy(PointMasses((40.0,)), 1.0) == 0.0
+    assert sign_entropy(GaussianMixture((40.0,), 0.0), 1.0) == 0.0
 
 
 def test_exponent_base_adds_the_dropped_weight():
@@ -708,7 +723,7 @@ def test_kept_node_exponent_matches_full_node_oracle(case):
     # rounding
     law, v, padding, ts = case
     ev, oracle = ExponentWithPadding(law, v, padding), _FullNodeExponent(law, v, padding)
-    assert _probe(law)[0].size > _BLOCK
+    assert _whole_law(law)[0].size > _BLOCK
     for t in ts:
         assert 2.0 ** ev(t) >= 2.0 ** oracle(t) * (1.0 - 1e-13)
 
@@ -717,7 +732,7 @@ def _exact_and_jensen(law, v, ts):
     # at each t: the exact kept-node mean, and the Jensen value that puts each
     # bin's mass at the bin's weighted-mean u, from per-bin fsums; bins come
     # from searchsorted, not from the build's rule
-    xs, ws, tail = _probe(law)
+    xs, ws, tail = _whole_law(law)
     u = ndtr(-np.abs(xs) / math.sqrt(v))
     j = np.minimum(np.searchsorted(_EDGES, u, side="right") - 1, _GRID - 1)
     order = np.argsort(j, kind="stable")
@@ -767,7 +782,10 @@ def _gathered_edge_weights(xs, ws, v):
 
 def _assert_matches_gathered_build(law, v):
     ev = ExponentWithPadding(law, v, 0.0)
-    xs, ws, tail = _probe(law)
+    xs, ws, tail = _whole_law(law)
+    streamed_xs, streamed_ws = (np.concatenate(parts) for parts in zip(*_law_blocks(law)))
+    assert np.array_equal(streamed_xs, xs)  # -0.0 streams as +0.0
+    assert streamed_ws.tobytes() == ws.tobytes()
     assert ev._p is _EDGES
     assert ev._ws.tobytes() == _gathered_edge_weights(xs, ws, v).tobytes()
     assert ev._tail == tail + xs.size * 2.0**-53
@@ -778,7 +796,7 @@ def test_streamed_build_matches_gathered_oracle_bitwise():
     # partial last one; then a point-mass law one point above the grid size
     _assert_matches_gathered_build(*_kernel_oracle_case("mixture"))
     pts = np.random.default_rng(5).normal(0.0, 2.0, _GRID + 1)
-    _assert_matches_gathered_build(PointMasses(tuple(pts.tolist())), 1.3)
+    _assert_matches_gathered_build(GaussianMixture(tuple(pts.tolist()), 0.0), 1.3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -836,17 +854,41 @@ def test_grid_allows_for_the_mass_its_sums_round_away():
 
 def test_only_laws_above_the_grid_size_move_onto_it():
     pts = tuple(np.linspace(-3.0, 3.0, _GRID + 1).tolist())
-    exact = ExponentWithPadding(PointMasses(pts[:_GRID]), 1.5, 0.0)
+    exact = ExponentWithPadding(GaussianMixture(pts[:_GRID], 0.0), 1.5, 0.0)
     assert exact._p.tobytes() == ndtr(np.asarray(pts[:_GRID]) / math.sqrt(1.5)).tobytes()
-    gridded = ExponentWithPadding(PointMasses(pts), 1.5, 0.0)
+    gridded = ExponentWithPadding(GaussianMixture(pts, 0.0), 1.5, 0.0)
     assert gridded._p is _EDGES and gridded._tail == (_GRID + 1) * 2.0**-53
     assert math.fsum(gridded._ws) == pytest.approx(1.0, abs=1e-12)
     # the chord split keeps the mean of u
     u = ndtr(-np.abs(np.asarray(pts)) / math.sqrt(1.5))
     assert math.fsum(gridded._ws * _EDGES) == pytest.approx(math.fsum(u) / u.size, rel=1e-12)
     ts = (0.01, 0.3, 0.9)
-    for t, (exact_mean, _) in zip(ts, _exact_and_jensen(PointMasses(pts), 1.5, ts)):
+    for t, (exact_mean, _) in zip(ts, _exact_and_jensen(GaussianMixture(pts, 0.0), 1.5, ts)):
         assert 2.0 ** gridded.raw(t) >= exact_mean * (1.0 - 1e-13)
+
+
+@pytest.mark.parametrize("size", [1, 10_000, _GRID, _GRID + 1, _BLOCK + 3])
+def test_zero_width_mixture_is_the_point_mass_law_bitwise(size):
+    # both evaluation paths, and a grid build over two blocks, against the
+    # point-mass quadrature (the points, weights 1/size, tail 0); -0.0 and
+    # +0.0 give the same p, since ndtr(-0.0) == ndtr(0.0) == 0.5
+    pts = np.random.default_rng(size).normal(0.0, 1.7, size)
+    pts[:2] = [-0.0, 0.0][:size]
+    law = GaussianMixture(tuple(pts.tolist()), 0.0)
+    xs, ws, tail = _whole_law(law)
+    v, pad = 1.3, 0.02
+    ev = ExponentWithPadding(law, v, pad)
+    if size <= _GRID:
+        assert ev._p.tobytes() == ndtr(xs / math.sqrt(v)).tobytes()
+        assert ev._ws.tobytes() == ws.tobytes()
+        assert ev._tail == tail
+    else:
+        assert ev._p is _EDGES
+        assert ev._ws.tobytes() == _gathered_edge_weights(xs, ws, v).tobytes()
+        assert ev._tail == tail + size * 2.0**-53
+    if size <= _BLOCK:  # one block: the same sum as over the whole law
+        h = _binary_entropy(ndtr(xs / math.sqrt(v)))
+        assert sign_entropy(law, v) == float(np.einsum("i,i->", ws, h)) + tail
 
 
 @st.composite

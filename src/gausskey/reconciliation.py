@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .estimation import EmpiricalCdf, bit_zero_probabilities
 from .hashing import BitString
+
+if not hasattr(np, "bitwise_count"):  # new in numpy 2.0; the coset representative needs it
+    raise ImportError(f"gausskey needs numpy >= 2.0 for np.bitwise_count, found {np.__version__}")
 
 __all__ = [
     "LinearCode",
@@ -30,6 +33,7 @@ __all__ = [
 
 LLR_CLAMP = 40.0  # near-deterministic symbols saturate here
 BP_ITERATIONS = 60  # flooding iterations before bp_decode gives up
+_BIT = [np.uint64(1) << np.uint64(b) for b in range(64)]  # one word mask per bit
 
 
 class LinearCode:
@@ -39,15 +43,23 @@ class LinearCode:
     columns in row order and `_check_starts` marks where each row begins.
     A syndrome is the parity of the word's bits over each row's stretch of
     that list, and belief propagation passes its messages along the same
-    edges. Gaussian elimination runs once at load time on the packed rows,
-    tracking the row transform so that coset representatives are a
-    deterministic function of the syndrome (supported on the pivot columns,
-    lowest columns first).
+    edges. Gaussian elimination on the packed rows, tracking the row
+    transform, makes coset representatives a deterministic function of the
+    syndrome (supported on the pivot columns, lowest columns first). It runs
+    in two passes. The forward pass runs at load time: each pivot clears its
+    column from the rows below it, which fixes `rank`, `dim` and the pivots.
+    Back substitution runs on the first `representative` call: each pivot,
+    last first, clears its column from the rows above it. It leaves the
+    reduced row transform, which is unique, so it is the one Gauss-Jordan
+    elimination would give, and frees the forward state. A run that aborts
+    before reconciliation never pays for it.
     """
 
     def __init__(self, n_code: int, check_cols: list[list[int]]):
         if any((c < 0 or c >= n_code) for cols in check_cols for c in cols):
             raise ValueError("column index out of range")
+        if not check_cols:
+            raise ValueError("code has no parity checks")
         self.n_code = n_code
         self.num_checks = len(check_cols)
         self.check_cols = [sorted(set(cols)) for cols in check_cols]
@@ -62,8 +74,9 @@ class LinearCode:
         self._elaborate()
 
     def _elaborate(self) -> None:
-        # one augmented array [rows | transform]: the pivot row is zero left
-        # of its pivot column, so each XOR starts at the pivot's word
+        # forward pass on one augmented array [rows | transform]: each pivot
+        # clears its column from the rows below it only, and the pivot row is
+        # zero left of its pivot column, so each XOR starts at the pivot's word
         r, w = self.num_checks, (self.n_code + 63) // 64
         work = np.zeros((r, w + (r + 63) // 64), dtype=np.uint64)
         var = self._edges_var
@@ -73,19 +86,16 @@ class LinearCode:
         work[idx, w + (idx >> 6)] = np.uint64(1) << (idx & 63).astype(np.uint64)
         rank = 0
         pivots = []
-        one = np.uint64(1)
         for col in range(self.n_code):
-            wi, bi = col >> 6, np.uint64(col & 63)
-            hit = np.flatnonzero((work[rank:, wi] >> bi) & one)
+            wi = col >> 6
+            hit = (work[rank:, wi] & _BIT[col & 63]).nonzero()[0]
             if hit.size == 0:
                 continue
             piv = rank + int(hit[0])
             if piv != rank:
                 work[[rank, piv]] = work[[piv, rank]]
-            sel = np.flatnonzero((work[:, wi] >> bi) & one)
-            sel = sel[sel != rank]
-            if sel.size:
-                work[sel, wi:] ^= work[rank, wi:]
+            if hit.size > 1:
+                work[rank + hit[1:], wi:] ^= work[rank, wi:]
             pivots.append(col)
             rank += 1
             if rank == r:
@@ -93,7 +103,25 @@ class LinearCode:
         self.rank = rank
         self.dim = self.n_code - rank
         self._pivots = np.asarray(pivots, dtype=np.int64)
-        self._transform = np.ascontiguousarray(work[:, w:])
+        self._forward = work
+
+    @cached_property
+    def _transform(self) -> np.ndarray:
+        # back substitution, last pivot first: pivot row i clears its column
+        # from the rows above it. Every row XORed in before step i is zero
+        # left of its own pivot, which lies right of column p_i, so the rows
+        # above still hold their forward bits at p_i: only the transform half
+        # needs the XOR. The reduced transform is unique, so this is the one
+        # Gauss-Jordan elimination would give.
+        work = self._forward
+        w = (self.n_code + 63) // 64
+        for i in range(self.rank - 1, 0, -1):
+            col = int(self._pivots[i])
+            above = (work[:i, col >> 6] & _BIT[col & 63]).nonzero()[0]
+            if above.size:
+                work[above, w:] ^= work[i, w:]
+        del self._forward
+        return np.ascontiguousarray(work[:, w:])
 
     @property
     def rate(self) -> float:

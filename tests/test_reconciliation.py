@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gausskey
 from gausskey.estimation import (
     NORMAL_NODES,
     NORMAL_WEIGHTS,
@@ -14,8 +19,9 @@ from gausskey.estimation import (
     estimate_moments,
     residuals,
 )
-from gausskey.gaussmodel import sample_rounds
+from gausskey.gaussmodel import NoiseSpec, sample_rounds
 from gausskey.hashing import BitString
+from gausskey.protocol import ProtocolConfig, run_protocol
 from gausskey.reconciliation import (
     BP_ITERATIONS,
     LLR_CLAMP,
@@ -67,11 +73,29 @@ def test_code_validation():
         LinearCode(3, [[0, 3]])
     with pytest.raises(ValueError, match="empty parity check"):
         LinearCode(3, [[0, 1], []])
+    with pytest.raises(ValueError, match="code has no parity checks"):
+        LinearCode(3, [])
+    with pytest.raises(ValueError, match="code has no parity checks"):
+        LinearCode.from_alist("4 0\n0 0\n0 0 0 0\n")
     code = repetition_code()
     with pytest.raises(ValueError, match="length mismatch"):
         code.syndrome_of(BitString.zeros(4))
     with pytest.raises(ValueError, match="syndrome length"):
         code.representative(BitString.zeros(3))
+
+
+def test_old_numpy_fails_at_import():
+    # numpy before 2.0 has neither np.bitwise_count nor its name in
+    # numpy.__all__, which scipy's star import reads
+    code = ("import numpy; del numpy.bitwise_count; numpy.__all__.remove('bitwise_count'); "
+            "import gausskey")
+    env = dict(os.environ)
+    src = str(Path(gausskey.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "ImportError: gausskey needs numpy >= 2.0" in done.stderr
 
 
 def test_coset_identity_on_reachable_syndromes(small_code):
@@ -268,6 +292,61 @@ def test_elimination_bytes_match_column_loop(small_code):
     assert codes[4].rank < codes[4].num_checks
     assert not any(130 in cols for cols in codes[4].check_cols)
     assert codes[5].rank == codes[5].num_checks == 100
+
+
+@st.composite
+def _elimination_cases(draw):
+    # more rows than columns, repeated rows, columns no row touches and full
+    # rank all come up; the seed draws the words whose syndromes are probed
+    n_code = draw(st.integers(min_value=1, max_value=300))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n_code - 1), min_size=1, max_size=8),
+        min_size=1, max_size=min(n_code + 8, 96)))
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=4))
+    rows += [rows[i] for i in repeats]
+    return n_code, rows, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_elimination_cases())
+@example(case=(300, [[i, i + 1] for i in range(299)], 0))  # rank == rows: the early break
+@example(case=(5, [[0], [1], [2], [3], [4], [0, 1], [2, 3], [4]], 1))  # rank == columns
+@example(case=(130, [[0, 129], [5], [0, 129]], 2))  # zero columns, a repeated row
+def test_elimination_matches_column_loop_property(case):
+    n_code, rows, seed = case
+    code = LinearCode(n_code, rows)
+    pivots, transform = _elaborate_column_loop(_pack_rows(code.check_cols, n_code), n_code)
+    assert (code.rank, code.dim) == (pivots.size, n_code - pivots.size)
+    assert code._pivots.dtype == pivots.dtype and code._pivots.tobytes() == pivots.tobytes()
+    assert code._transform.dtype == transform.dtype
+    assert code._transform.shape == transform.shape
+    assert code._transform.tobytes() == transform.tobytes()
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        syn = code.syndrome_of(BitString.random(rng, n_code))
+        rep = code.representative(syn)
+        assert code.syndrome_of(rep) == syn
+        assert set(np.flatnonzero(rep.to_bits()).tolist()) <= set(pivots.tolist())
+
+
+def test_back_substitution_waits_for_the_first_representative(tmp_path, reference_params):
+    path = tmp_path / "reference.alist"
+    path.write_text(_bench_shaped_codes()[1].to_alist())
+    code = load_alist(str(path))
+    assert "_transform" not in code.__dict__
+    # the reference geometry stops at the key budget, before reconciliation
+    config = ProtocolConfig(n=2**14, l=10_000, epsilon=5e-5, security_target_log2=-40.0,
+                            m2=64, code_path=str(path))
+    out = run_protocol(reference_params, NoiseSpec.gaussian(0.2), config,
+                       np.random.default_rng(0), code=code)
+    assert out.abort_reason.startswith("no key left")
+    assert "_transform" not in code.__dict__
+    syn = code.syndrome_of(BitString.random(np.random.default_rng(5), code.n_code))
+    rep = code.representative(syn)
+    transform = code.__dict__["_transform"]
+    assert "_forward" not in code.__dict__
+    assert code.representative(syn) == rep
+    assert code._transform is transform
 
 
 # --------------------------------------------------------------- soft channel

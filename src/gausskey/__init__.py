@@ -23,6 +23,7 @@ from .protocol import (
     ProtocolOutcome,
     Transcript,
     certify,
+    distill,
     post_selection_gate,
     replay_alice,
     run_protocol,
@@ -65,6 +66,7 @@ __all__ = [
     "build_certified_exponent",
     "certify",
     "collision_probability",
+    "distill",
     "estimate_eve_cdf",
     "estimate_moments",
     "gallager_code",

@@ -1,16 +1,17 @@
 """End-to-end key generation: sampling, estimation, reconciliation, hashing.
 
-One run consumes n + 2l channel rounds. A public sampling seed splits them
-into two disjoint estimation halves and the distillation block; moment and
-residual estimates gate the run, size the sacrifice, and parameterize both
-the decoder and the security certificates. Everything Bob publishes lands in
-the Transcript, which is sufficient for Alice to replay her side bit for bit.
+One run consumes n + 2l channel rounds, which `run_protocol` samples and
+`distill` turns into a key. A public sampling seed splits them into two
+disjoint estimation halves and the distillation block; moment and residual
+estimates gate the run, size the sacrifice, and parameterize both the decoder
+and the security certificates. Everything Bob publishes lands in the
+Transcript, which is sufficient for Alice to replay her side bit for bit.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "STATUS_ABORTED",
     "post_selection_gate",
     "certify",
+    "distill",
     "run_protocol",
     "replay_alice",
 ]
@@ -54,6 +56,13 @@ STATUS_ABORTED = "aborted"
 
 _SEED_BOUND = 2**63
 _HEX_DIGITS = frozenset(string.hexdigits)
+_PARSE = {  # a Transcript field's JSON value, by its annotation
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, ...]": lambda xs: tuple(float(x) for x in xs),
+    "tuple[str, ...]": lambda xs: tuple(str(x) for x in xs),
+}
 
 
 @dataclass(frozen=True)
@@ -111,39 +120,15 @@ class Transcript:
         return 6 + len(self.coset_hex)
 
     def to_json_dict(self) -> dict:
-        return {
-            "sampling_seed": self.sampling_seed,
-            "e_hat": self.e_hat,
-            "v_hat": self.v_hat,
-            "c_hat": self.c_hat,
-            "v_ab_hat": self.v_ab_hat,
-            "residuals": list(self.residuals),
-            "coset_hex": list(self.coset_hex),
-            "m1": self.m1,
-            "m2": self.m2,
-            "pa_seed": self.pa_seed,
-            "verify_seed": self.verify_seed,
-            "bob_tag_hex": self.bob_tag_hex,
-            "alice_tag_hex": self.alice_tag_hex,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["residuals"], out["coset_hex"] = list(self.residuals), list(self.coset_hex)
+        return out
 
     @staticmethod
     def from_json_dict(data: dict) -> "Transcript":
         """Parse a transcript, rejecting values no run publishes."""
         transcript = Transcript(
-            sampling_seed=int(data["sampling_seed"]),
-            e_hat=float(data["e_hat"]),
-            v_hat=float(data["v_hat"]),
-            c_hat=float(data["c_hat"]),
-            v_ab_hat=float(data["v_ab_hat"]),
-            residuals=tuple(float(x) for x in data["residuals"]),
-            coset_hex=tuple(str(x) for x in data["coset_hex"]),
-            m1=int(data["m1"]),
-            m2=int(data["m2"]),
-            pa_seed=int(data["pa_seed"]),
-            verify_seed=int(data["verify_seed"]),
-            bob_tag_hex=str(data["bob_tag_hex"]),
-            alice_tag_hex=str(data["alice_tag_hex"]),
+            **{f.name: _PARSE[f.type](data[f.name]) for f in fields(Transcript)}
         )
         res = np.asarray(transcript.residuals)
         if res.size == 0 or not np.isfinite(res).all() or np.any(res[1:] < res[:-1]):
@@ -221,8 +206,28 @@ def _abort(reason: str, **extra) -> ProtocolOutcome:
     return ProtocolOutcome(status=STATUS_ABORTED, abort_reason=reason, **extra)
 
 
-def _concat_bits(blocks: list[BitString]) -> BitString:
+def _concat_bits(blocks) -> BitString:
     return BitString.from_bits(np.concatenate([b.to_bits() for b in blocks]))
+
+
+def _split(sampling_seed: int, total: int, l: int):
+    """The public split of the rounds: two estimation halves, then distillation."""
+    perm = np.random.default_rng(sampling_seed).permutation(total)
+    return perm[:l], perm[l : 2 * l], perm[2 * l :]
+
+
+def _alice_side(
+    code: LinearCode, symbols: np.ndarray, shifts, chan: SoftChannel, pa: ToeplitzSeed
+) -> tuple[list[BitString], BitString]:
+    """Alice's blocks, each decoded against its coset word, and their hash.
+
+    The run and the replay both take Alice's side through here.
+    """
+    blocks = [
+        alice_decode(code, block, shift, chan)
+        for block, shift in zip(symbols.reshape(len(shifts), code.n_code), shifts)
+    ]
+    return blocks, toeplitz_hash(pa, _concat_bits(blocks))
 
 
 def run_protocol(
@@ -232,25 +237,44 @@ def run_protocol(
     rng: np.random.Generator,
     code: LinearCode | None = None,
 ) -> ProtocolOutcome:
-    """One full protocol run against a simulated channel.
+    """One full protocol run against a simulated channel: sample, then distill.
 
     A preloaded code skips the alist parse when many runs share one.
     """
     if code is None:
         code = load_alist(config.code_path)
+    sampling_seed = int(rng.integers(_SEED_BOUND))
+    alice, bob, _eve, _injected = sample_rounds(params, noise, rng, config.n + 2 * config.l)
+    return distill(alice, bob, params, config, sampling_seed, rng, code)
+
+
+def distill(
+    alice: np.ndarray,
+    bob: np.ndarray,
+    params: ChannelParams,
+    config: ProtocolConfig,
+    sampling_seed: int,
+    rng: np.random.Generator,
+    code: LinearCode,
+) -> ProtocolOutcome:
+    """The protocol on given rounds: both parties' n + 2l symbols.
+
+    `sampling_seed` drives the public split of the rounds, and `rng` draws
+    the privacy-amplification seed and then the verification seed. Rounds
+    of the wrong length or with a non-finite value raise ValueError.
+    """
+    total = config.n + 2 * config.l
+    alice = np.asarray(alice, dtype=float)
+    bob = np.asarray(bob, dtype=float)
+    for party, rounds in (("Alice", alice), ("Bob", bob)):
+        if rounds.shape != (total,) or not np.isfinite(rounds).all():
+            raise ValueError(f"{party}'s rounds must be n + 2l = {total} finite values")
     if config.n % code.n_code != 0:
         return _abort("config n is not a multiple of the code length")
     num_blocks = config.n // code.n_code
     dim_total = num_blocks * code.dim
 
-    sampling_seed = int(rng.integers(_SEED_BOUND))
-    total = config.n + 2 * config.l
-    alice, bob, _eve, _injected = sample_rounds(params, noise, rng, total)
-
-    perm = np.random.default_rng(sampling_seed).permutation(total)
-    est1, est2 = perm[: config.l], perm[config.l : 2 * config.l]
-    distill = perm[2 * config.l :]
-
+    est1, est2, block = _split(sampling_seed, total, config.l)
     bundle = estimate_moments(
         np.column_stack([alice[est1], bob[est1]]), config.epsilon
     )
@@ -293,32 +317,19 @@ def run_protocol(
             mutual_info_estimate=mi_estimate,
         )
 
-    chan = SoftChannel.from_cdf(bundle.c_hat, residual_cdf)
-    bob_bits_all = (bob[distill] < bundle.e_hat).astype(np.uint8)  # B >= e_hat -> 0
-    alice_symbols_all = alice[distill]
-    bob_blocks: list[BitString] = []
-    alice_blocks: list[BitString] = []
-    coset_hex: list[str] = []
-    converged = 0
-    for k in range(num_blocks):
-        sl = slice(k * code.n_code, (k + 1) * code.n_code)
-        bob_cw, alice_cw, shift = reconcile(
-            code, BitString.from_bits(bob_bits_all[sl]), alice_symbols_all[sl], chan
-        )
-        if bob_cw == alice_cw:
-            converged += 1
-        bob_blocks.append(bob_cw)
-        alice_blocks.append(alice_cw)
-        coset_hex.append(shift.to_hex())
-
-    bob_word = _concat_bits(bob_blocks)
-    alice_word = _concat_bits(alice_blocks)
+    bob_bits = (bob[block] < bundle.e_hat).astype(np.uint8)  # B >= e_hat -> 0
+    bob_blocks, shifts = zip(*(
+        reconcile(code, BitString.from_bits(bits))
+        for bits in bob_bits.reshape(num_blocks, code.n_code)
+    ))
 
     n2 = dim_total - m1
     pa_seed = int(rng.integers(_SEED_BOUND))
     pa = ToeplitzSeed.random(np.random.default_rng(pa_seed), config.n, n2)
-    bob_key = toeplitz_hash(pa, bob_word)
-    alice_key = toeplitz_hash(pa, alice_word)
+    bob_key = toeplitz_hash(pa, _concat_bits(bob_blocks))
+    chan = SoftChannel.from_cdf(bundle.c_hat, residual_cdf)
+    alice_blocks, alice_key = _alice_side(code, alice[block], shifts, chan, pa)
+    converged = sum(a == b for a, b in zip(alice_blocks, bob_blocks))
 
     verify_seed = int(rng.integers(_SEED_BOUND))
     if config.m2 > 0:
@@ -335,7 +346,7 @@ def run_protocol(
         c_hat=bundle.c_hat,
         v_ab_hat=bundle.v_ab_hat,
         residuals=bundle.residuals,
-        coset_hex=tuple(coset_hex),
+        coset_hex=tuple(shift.to_hex() for shift in shifts),
         m1=m1,
         m2=config.m2,
         pa_seed=pa_seed,
@@ -384,6 +395,8 @@ def replay_alice(
     n = total - 2 * l
     if n <= 0 or n % code.n_code != 0:
         raise ValueError("symbol record does not match the transcript")
+    if not np.isfinite(symbols).all():
+        raise ValueError("symbol record holds a non-finite value")
     num_blocks = n // code.n_code
     if len(transcript.coset_hex) != num_blocks:
         raise ValueError(
@@ -393,22 +406,10 @@ def replay_alice(
     if transcript.m1 + transcript.m2 >= num_blocks * code.dim:
         raise ValueError("transcript sacrifice plus tag leaves no key in the code dimension")
 
-    perm = np.random.default_rng(transcript.sampling_seed).permutation(total)
-    distill = perm[2 * l :]
-    mine = symbols[distill]
-
-    chan = SoftChannel.from_residuals(transcript.c_hat, transcript.residuals)
-    blocks = [
-        alice_decode(
-            code,
-            mine[k * code.n_code : (k + 1) * code.n_code],
-            BitString.from_hex(transcript.coset_hex[k], code.n_code),
-            chan,
-        )
-        for k in range(num_blocks)
-    ]
-
+    _, _, block = _split(transcript.sampling_seed, total, l)
+    shifts = [BitString.from_hex(word, code.n_code) for word in transcript.coset_hex]
+    chan = SoftChannel.from_cdf(transcript.c_hat, EmpiricalCdf(points=transcript.residuals))
     n2 = num_blocks * code.dim - transcript.m1
     pa = ToeplitzSeed.random(np.random.default_rng(transcript.pa_seed), n, n2)
-    key = toeplitz_hash(pa, _concat_bits(blocks))
+    _, key = _alice_side(code, symbols[block], shifts, chan, pa)
     return BitString.from_bits(key.to_bits()[: n2 - transcript.m2])

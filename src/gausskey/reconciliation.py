@@ -248,13 +248,6 @@ class SoftChannel:
         prior = math.log(1.0 - z0) - math.log(z0)
         return SoftChannel(c_hat=c_hat, residual_cdf=residual_cdf, prior_log_ratio=prior)
 
-    @staticmethod
-    def from_residuals(c_hat: float, residuals: tuple[float, ...]) -> "SoftChannel":
-        """Channel from the covariance estimate and the sorted residuals."""
-        if len(residuals) == 0:
-            raise ValueError("no residuals to build the channel from")
-        return SoftChannel.from_cdf(c_hat, EmpiricalCdf(points=residuals))
-
     def llr_array(self, symbols: np.ndarray, flips: np.ndarray) -> np.ndarray:
         signed = np.where(np.asarray(flips) != 0, -1.0, 1.0) * np.asarray(symbols, float)
         g1 = np.asarray(self.residual_cdf(-self.c_hat * signed), dtype=float)
@@ -309,25 +302,22 @@ def alice_decode(
     """Alice's half of a reconciliation block.
 
     She decodes Bob's codeword from her symbols, with signs flipped where
-    the published coset representative has ones. The run and the replay
-    both decode through here.
+    the published coset representative has ones.
     """
-    llrs = chan.llr_array(alice_symbols, shift.to_bits())
-    alice_codeword, _converged = bp_decode(code, llrs)
+    if np.size(alice_symbols) != code.n_code or shift.length != code.n_code:
+        raise ValueError("block length mismatch")
+    alice_codeword, _converged = bp_decode(code, chan.llr_array(alice_symbols, shift.to_bits()))
     return alice_codeword
 
 
-def reconcile(
-    code: LinearCode, bob_bits: BitString, alice_symbols, chan: SoftChannel
-) -> tuple[BitString, BitString, BitString]:
-    """One reconciliation block.
+def reconcile(code: LinearCode, bob_bits: BitString) -> tuple[BitString, BitString]:
+    """Bob's half of a reconciliation block: (codeword, coset representative).
 
     Bob moves his word into the code by subtracting the deterministic coset
     representative of its syndrome; the representative is the only public
-    message. Alice then runs alice_decode on it.
+    message. Alice's half is alice_decode.
     """
-    symbols = np.asarray(alice_symbols, dtype=float)
-    if bob_bits.length != code.n_code or symbols.size != code.n_code:
+    if bob_bits.length != code.n_code:
         raise ValueError("block length mismatch")
     shift = code.representative(code.syndrome_of(bob_bits))
-    return bob_bits ^ shift, alice_decode(code, symbols, shift, chan), shift
+    return bob_bits ^ shift, shift

@@ -80,3 +80,22 @@ def test_traced_smoothed_run_counts_the_grid_law(bench, reference_params, small_
     assert counts["secbounds.quad_points"] == _GRID + 1
     assert 0 < counts["secbounds.phi_evals"] <= 31
     assert counts["secbounds.quad_points_total"] == (_GRID + 1) * counts["secbounds.phi_evals"]
+
+
+def test_traced_reconcile_is_bobs_half_per_block(bench, weak_eve_params, weak_eve_noise, small_code):
+    # reconciliation.syndrome.s reads the syndrome_of spans directly under
+    # reconcile, so each block's reconcile span must hold Bob's syndrome
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed(spans.program_targets()):
+        out = run_protocol(weak_eve_params, weak_eve_noise, small_config(),
+                           np.random.default_rng(101), code=small_code)
+    assert out.status == STATUS_SUCCESS
+    kids = spans.children(tracer.spans)
+    blocks = [i for i, s in enumerate(tracer.spans) if s.name == "reconciliation.reconcile"]
+    assert len(blocks) == out.total_blocks == 8
+    for i in blocks:
+        assert [tracer.spans[k].name for k in kids[i]].count("reconciliation.syndrome_of") == 1
+    timings, _counts = spans.layer_metrics(tracer.spans, {0})
+    assert timings["reconciliation.syndrome.s"] > 0.0

@@ -19,11 +19,12 @@ from gausskey.protocol import (
     STATUS_VERIFICATION_FAILED,
     ProtocolConfig,
     Transcript,
+    distill,
     post_selection_gate,
     replay_alice,
     run_protocol,
 )
-from gausskey.reconciliation import gallager_code, reconcile
+from gausskey.reconciliation import alice_decode, gallager_code
 from gausskey.secbounds import MODIFIED_MUTUAL_INFO, VARIATIONAL_DISTANCE
 
 TARGET = -40.0
@@ -39,18 +40,22 @@ def demo_config(**kw):
 def run_demo(weak_eve_params, weak_eve_noise, small_code, seed, flips=0, **kw):
     """One run at the demo geometry; flips > 0 flips the first `flips` bits
     of each of Alice's reconciled blocks, to exercise verification."""
-
-    def reconcile_then_flip(*args):
-        bob_cw, alice_cw, shift = reconcile(*args)
-        bits = alice_cw.to_bits()
-        bits[:flips] ^= 1
-        return bob_cw, BitString.from_bits(bits), shift
-
-    with patch.object(protocol, "reconcile", reconcile_then_flip) if flips else nullcontext():
+    with flipped_alice_blocks(flips):
         return run_protocol(
             weak_eve_params, weak_eve_noise, demo_config(**kw),
             np.random.default_rng(seed), code=small_code,
         )
+
+
+def flipped_alice_blocks(flips):
+    """Flip the first `flips` bits of each block Alice decodes, if any."""
+
+    def decode_then_flip(*args):
+        bits = alice_decode(*args).to_bits()
+        bits[:flips] ^= 1
+        return BitString.from_bits(bits)
+
+    return patch.object(protocol, "alice_decode", decode_then_flip) if flips else nullcontext()
 
 
 # ---------------------------------------------------------------- happy path
@@ -175,6 +180,20 @@ def test_replay_from_transcript_is_bit_exact(weak_eve_params, weak_eve_noise,
     assert replayed == out.alice_key
 
 
+def test_replay_rejects_non_finite_symbols(weak_eve_params, weak_eve_noise,
+                                           small_code):
+    # the README Library example's run: NaN symbols would decode as LLR
+    # +-40 and hash to a key without complaint
+    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 7)
+    assert out.status == STATUS_SUCCESS
+    with pytest.raises(ValueError, match="non-finite"):
+        replay_alice(np.full(4096 + 2 * 10_000, np.nan), out.transcript, small_code)
+    alice = demo_alice_symbols(weak_eve_params, weak_eve_noise, 7)
+    alice[-1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        replay_alice(alice, out.transcript, small_code)
+
+
 def test_replay_rejects_wrong_record_length(weak_eve_params, weak_eve_noise,
                                             small_code):
     out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
@@ -200,6 +219,69 @@ def test_replay_rejects_inconsistent_transcripts(weak_eve_params, weak_eve_noise
         bad = dataclasses.replace(t, m1=m1, m2=m2)
         with pytest.raises(ValueError, match="leaves no key"):
             replay_alice(alice, bad, small_code)
+
+
+# ------------------------------------------------------- the protocol proper
+
+def distill_sampled(params, noise, code, seed, config):
+    """run_protocol's steps by hand: the seed draw, the rounds, then distill."""
+    rng = np.random.default_rng(seed)
+    sampling_seed = int(rng.integers(2**63))
+    alice, bob, _eve, _inj = sample_rounds(params, noise, rng, config.n + 2 * config.l)
+    return distill(alice, bob, params, config, sampling_seed, rng, code)
+
+
+@pytest.mark.parametrize("case,status", [("weak-eve", STATUS_SUCCESS),
+                                         ("flipped", STATUS_VERIFICATION_FAILED),
+                                         ("reference", STATUS_ABORTED)])
+def test_distill_on_sampled_rounds_is_the_run(weak_eve_params, weak_eve_noise,
+                                              reference_params, small_code, case, status):
+    params, noise = weak_eve_params, weak_eve_noise
+    if case == "reference":
+        params, noise = reference_params, NoiseSpec.gaussian(0.2)
+    config = demo_config()
+    with flipped_alice_blocks(40 if case == "flipped" else 0):
+        run = run_protocol(params, noise, config, np.random.default_rng(101), code=small_code)
+        given = distill_sampled(params, noise, small_code, 101, config)
+    assert run.status == status
+    if case == "reference":
+        assert run.abort_reason.startswith("no key left")
+    assert given == run
+
+
+def test_run_and_replay_take_one_alice_path(weak_eve_params, weak_eve_noise,
+                                            small_code, monkeypatch):
+    calls = []
+
+    def recording(code, symbols, shift, chan):
+        calls.append((np.array(symbols).tobytes(), shift))
+        return alice_decode(code, symbols, shift, chan)
+
+    monkeypatch.setattr(protocol, "alice_decode", recording)
+    out = run_demo(weak_eve_params, weak_eve_noise, small_code, 101)
+    run_calls = calls[:]
+    calls.clear()
+    alice = demo_alice_symbols(weak_eve_params, weak_eve_noise, 101)
+    assert replay_alice(alice, out.transcript, small_code) == out.alice_key
+    assert len(run_calls) == len(calls) == out.total_blocks == 8
+    assert run_calls == calls
+    assert [shift.to_hex() for _, shift in calls] == list(out.transcript.coset_hex)
+
+
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_distill_rejects_bad_rounds(weak_eve_params, small_code, party, bad):
+    # a NaN in Bob's distillation block would otherwise become bit 0, and
+    # one in Alice's an LLR of +-40
+    config = demo_config()
+    rounds = [np.ones(4096 + 2 * 10_000), np.ones(4096 + 2 * 10_000)]
+    if bad == "short":
+        rounds[party] = rounds[party][:-1]
+    else:
+        rounds[party][-1] = float(bad)
+    name = ("Alice", "Bob")[party]
+    with pytest.raises(ValueError, match=rf"{name}'s rounds must be n \+ 2l = 24096 finite"):
+        distill(*rounds, weak_eve_params, config, 0, np.random.default_rng(0), small_code)
 
 
 # -------------------------------------------------------------------- aborts

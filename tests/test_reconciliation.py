@@ -27,6 +27,7 @@ from gausskey.reconciliation import (
     LLR_CLAMP,
     LinearCode,
     SoftChannel,
+    alice_decode,
     bp_decode,
     gallager_code,
     load_alist,
@@ -380,13 +381,13 @@ def test_from_bundle_prior_vanishes_for_symmetric_residuals():
     res = (-1.7, -0.9, -0.3, 0.3, 0.9, 1.7)
     bundle = EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
                             w_hat=5.0, l=6, epsilon=0.01, residuals=res)
-    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
+    chan = SoftChannel.from_cdf(bundle.c_hat, EmpiricalCdf(points=bundle.residuals))
     assert chan.prior_log_ratio == pytest.approx(0.0, abs=1e-12)
     assert chan.c_hat == 1.0
     empty = EstimateBundle(e_hat=0.0, v_hat=2.0, c_hat=1.0, v_ab_hat=4.0,
                            w_hat=5.0, l=6, epsilon=0.01)
-    with pytest.raises(ValueError, match="no residuals"):
-        SoftChannel.from_residuals(empty.c_hat, empty.residuals)
+    with pytest.raises(ValueError, match="needs at least one point"):
+        SoftChannel.from_cdf(empty.c_hat, EmpiricalCdf(points=empty.residuals))
 
 
 def test_from_bundle_prior_uses_left_limit_at_a_residual():
@@ -399,7 +400,7 @@ def test_from_bundle_prior_uses_left_limit_at_a_residual():
                             w_hat=5.0, l=6, epsilon=0.01, residuals=res)
     cdf = EmpiricalCdf(points=res)
     z0 = float(np.dot(NORMAL_WEIGHTS, 1.0 - cdf.eval_left(-c_hat * NORMAL_NODES)))
-    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
+    chan = SoftChannel.from_cdf(bundle.c_hat, EmpiricalCdf(points=bundle.residuals))
     assert chan.prior_log_ratio == pytest.approx(math.log(1.0 - z0) - math.log(z0),
                                                  abs=1e-12)
     # a run hands its one residual CDF to the channel: the same channel
@@ -504,7 +505,7 @@ def test_bp_decode_matches_dense_reference_on_weak_eve_blocks(
         weak_eve_params, weak_eve_noise, rng, 2 * l + blocks * code.n_code)
     bundle = estimate_moments(np.column_stack([alice[:l], bob[:l]]), 5e-5)
     bundle = residuals(np.column_stack([alice[l:2 * l], bob[l:2 * l]]), bundle)
-    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
+    chan = SoftChannel.from_cdf(bundle.c_hat, EmpiricalCdf(points=bundle.residuals))
     bob_bits = (bob[2 * l:] < bundle.e_hat).astype(np.uint8)
     cases = []
     for k in range(blocks):
@@ -545,7 +546,8 @@ def test_reconcile_noiseless_round_trip(small_code):
     symbols = np.where(bob.to_bits() == 1, -1.0, 1.0)
     chan = SoftChannel(c_hat=1.0, residual_cdf=EmpiricalCdf(points=(0.0,)),
                        prior_log_ratio=0.0)
-    bob_cw, alice_cw, shift = reconcile(small_code, bob, symbols, chan)
+    bob_cw, shift = reconcile(small_code, bob)
+    alice_cw = alice_decode(small_code, symbols, shift, chan)
     assert bob_cw == alice_cw
     assert not small_code.syndrome_of(bob_cw).to_bits().any()
     assert shift == small_code.representative(small_code.syndrome_of(bob))
@@ -562,13 +564,14 @@ def test_reconcile_matches_at_operating_point(small_code):
         e_hat=0.0, v_hat=gain * gain + 0.35, c_hat=gain,
         v_ab_hat=3 * gain * gain + 0.35, w_hat=10.0, l=4000,
         epsilon=5e-5, residuals=tuple(res.tolist()))
-    chan = SoftChannel.from_residuals(bundle.c_hat, bundle.residuals)
+    chan = SoftChannel.from_cdf(bundle.c_hat, EmpiricalCdf(points=bundle.residuals))
     matched = 0
     for _ in range(8):
         a = rng.normal(size=small_code.n_code)
         b = gain * a + rng.normal(scale=rstd, size=small_code.n_code)
         bits = BitString.from_bits((b < 0.0).astype(np.uint8))
-        bob_cw, alice_cw, shift = reconcile(small_code, bits, a, chan)
+        bob_cw, shift = reconcile(small_code, bits)
+        alice_cw = alice_decode(small_code, a, shift, chan)
         assert not small_code.syndrome_of(bob_cw).to_bits().any()
         matched += bob_cw == alice_cw
     assert matched >= 7
@@ -578,5 +581,7 @@ def test_reconcile_validates_lengths(small_code):
     chan = SoftChannel(c_hat=1.0, residual_cdf=EmpiricalCdf(points=(0.0,)),
                        prior_log_ratio=0.0)
     with pytest.raises(ValueError, match="block length"):
-        reconcile(small_code, BitString.zeros(small_code.n_code),
-                  np.zeros(small_code.n_code - 1), chan)
+        reconcile(small_code, BitString.zeros(small_code.n_code - 1))
+    _, shift = reconcile(small_code, BitString.zeros(small_code.n_code))
+    with pytest.raises(ValueError, match="block length"):
+        alice_decode(small_code, np.zeros(small_code.n_code - 1), shift, chan)
